@@ -7,7 +7,6 @@ from .perf import (
     bench_fleet,
     bench_provenance,
     bench_service,
-    bench_telemetry,
     run_benchmarks,
     validate_document,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "bench_fleet",
     "bench_provenance",
     "bench_service",
-    "bench_telemetry",
     "run_benchmarks",
     "validate_document",
 ]

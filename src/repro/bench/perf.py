@@ -11,9 +11,8 @@ regress against:
 * **scan** — the per-window correlation check over ``G`` groups ×
   ``W`` windows, four ways: uncached scalar (the seed path), memoised
   scalar cold/warm, and the batched ``check_many`` matrix pass;
-* **telemetry** — the batched segment pipeline with a live metrics
-  registry vs the disabled ``NULL_REGISTRY`` twin, so the instrumentation
-  cost stays visible (budget: ≤ 5 % overhead);
+* **segment** — the full real-time phase (``process_windows``) over a
+  synthetic segment with a cold correlation memo;
 * **eval** — the end-to-end Ch. V protocol with the process-parallel
   ``EvaluationRunner``, checking that worker counts do not change the
   aggregate results;
@@ -69,8 +68,9 @@ from ..model import DeviceRegistry, SensorType, binary_sensor
 #: accounting, and effective worker counts in ``eval``; /7 added the
 #: ``provenance`` evidence-recorder overhead section; /8 added the
 #: ``backends`` per-backend streaming comparison section; /9 added the
-#: ``service`` loopback ingest-service overhead + overload section.
-BENCH_SCHEMA = "dice-bench-perf/9"
+#: ``service`` loopback ingest-service overhead + overload section; /10
+#: dropped the ``telemetry`` section and the ``segment`` scalar arm.
+BENCH_SCHEMA = "dice-bench-perf/10"
 DEFAULT_OUTPUT = "BENCH_perf.json"
 
 
@@ -366,88 +366,20 @@ def _fitted_segment(
 def bench_detector_segment(
     n_groups: int, n_windows: int, num_bits: int, seed: int
 ) -> Dict:
-    """Full ``process_windows`` (all four stages) batch vs scalar."""
-    # NULL_REGISTRY keeps these trajectory numbers telemetry-free; the
-    # instrumentation cost is measured separately by :func:`bench_telemetry`.
+    """Full ``process_windows`` (all four stages) over a cold memo."""
+    # NULL_REGISTRY keeps these trajectory numbers telemetry-free.
     detector, segment = _fitted_segment(
         n_groups, n_windows, num_bits, seed, metrics=telemetry.NULL_REGISTRY
     )
-
-    # Clear the memo before each timed run so both paths start cold.
     detector._correlation_checker.clear_cache()
     t0 = time.perf_counter()
-    scalar_report = detector.process_windows(segment, batch=False)
-    scalar_s = time.perf_counter() - t0
-    detector._correlation_checker.clear_cache()
-    t0 = time.perf_counter()
-    batch_report = detector.process_windows(segment, batch=True)
-    batch_s = time.perf_counter() - t0
-    if (
-        scalar_report.detections != batch_report.detections
-        or scalar_report.identifications != batch_report.identifications
-    ):
-        raise AssertionError("batch and scalar segment reports disagree")
+    report = detector.process_windows(segment)
+    seconds = time.perf_counter() - t0
     return {
         "groups": int(n_groups),
         "windows": int(n_windows),
-        "scalar_s": scalar_s,
-        "batch_s": batch_s,
-        "detections": len(batch_report.detections),
-        "speedup": scalar_s / batch_s if batch_s > 0 else float("inf"),
-    }
-
-
-def bench_telemetry(
-    n_groups: int, n_windows: int, num_bits: int, seed: int, repeats: int = 5
-) -> Dict:
-    """Instrumentation overhead: the batched segment pipeline with a live
-    :class:`~repro.telemetry.MetricsRegistry` vs the disabled
-    ``NULL_REGISTRY`` twin.  The acceptance budget is ≤ 5 % overhead.
-
-    Enabled and disabled runs are *interleaved* (off, on, off, on, ...) so
-    slow drift in machine load — thermal throttling, a background task
-    spinning up — hits both sides equally instead of being booked as
-    telemetry overhead; best-of then suppresses the per-run jitter."""
-    enabled, seg_on = _fitted_segment(
-        n_groups, n_windows, num_bits, seed, metrics=telemetry.MetricsRegistry()
-    )
-    disabled, seg_off = _fitted_segment(
-        n_groups, n_windows, num_bits, seed, metrics=telemetry.NULL_REGISTRY
-    )
-
-    def _timed(detector, segment):
-        # publish=True is the production configuration: timings land in
-        # the registry once per segment, inside the measured region.
-        detector._correlation_checker.clear_cache()
-        t0 = time.perf_counter()
-        report = detector.process_windows(segment, batch=True)
-        return time.perf_counter() - t0, report
-
-    enabled_s = disabled_s = float("inf")
-    enabled_report = disabled_report = None
-    for i in range(repeats):
-        seconds, report = _timed(disabled, seg_off)
-        disabled_s = min(disabled_s, seconds)
-        if i == 0:
-            disabled_report = report
-        seconds, report = _timed(enabled, seg_on)
-        enabled_s = min(enabled_s, seconds)
-        if i == 0:
-            enabled_report = report
-
-    if (
-        enabled_report.detections != disabled_report.detections
-        or enabled_report.identifications != disabled_report.identifications
-    ):
-        raise AssertionError("telemetry changed the segment report")
-    ratio = enabled_s / disabled_s if disabled_s > 0 else float("inf")
-    return {
-        "groups": int(n_groups),
-        "windows": int(n_windows),
-        "enabled_s": enabled_s,
-        "disabled_s": disabled_s,
-        "overhead_ratio": ratio,
-        "overhead_pct": (ratio - 1.0) * 100.0,
+        "seconds": seconds,
+        "detections": len(report.detections),
     }
 
 
@@ -466,6 +398,7 @@ def bench_fleet(
     records the result (CI fails the document if it ever goes false).
     """
     from ..fleet import FleetGateway, build_fleet_homes, replay_fleet
+    from ..streaming import canonical_alerts
 
     runs = []
     parity = True
@@ -489,13 +422,7 @@ def bench_fleet(
             replay_fleet(gateway, homes)
             seconds = time.perf_counter() - t0
             canon = {
-                home.home_id: repr(
-                    [
-                        (a.kind, a.time, a.check, a.cases,
-                         tuple(sorted(a.devices)), a.converged)
-                        for a in gateway.alerts_of(home.home_id)
-                    ]
-                )
+                home.home_id: canonical_alerts(gateway.alerts_of(home.home_id))
                 for home in homes
             }
             if baseline is None:
@@ -528,8 +455,8 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
     Streams one seeded chaos deployment's live events through a plain
     :class:`~repro.streaming.HardenedOnlineDice` and through
     :class:`~repro.durability.DurableOnlineDice` under every fsync policy.
-    Baseline and journaled runs are interleaved (like
-    :func:`bench_telemetry`) so machine-load drift hits all arms equally,
+    Baseline and journaled runs are interleaved so machine-load drift
+    hits all arms equally,
     and every arm's alert stream is asserted identical to the baseline's.
     The acceptance budget: ``fsync=never`` stays within 1.5x of no journal.
     """
@@ -540,9 +467,8 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
         LATENESS_SECONDS,
         POLICY,
         build_chaos_deployment,
-        canonical_alerts,
     )
-    from ..streaming import HardenedOnlineDice
+    from ..streaming import HardenedOnlineDice, canonical_alerts
 
     deployment = build_chaos_deployment(seed, hours=hours)
     events = deployment.events
@@ -612,8 +538,7 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     :class:`~repro.streaming.HardenedOnlineDice` twice: with the recorder
     replaced by ``NULL_PROVENANCE`` (the zero-cost twin) and with the
     default :class:`~repro.telemetry.ProvenanceRecorder`.  Arms are
-    interleaved like :func:`bench_telemetry` so machine-load drift hits
-    both equally, and the enabled arm's alert stream is asserted identical
+    interleaved so machine-load drift hits both equally, and the enabled arm's alert stream is asserted identical
     to the baseline's — evidence capture must observe, never steer.  The
     acceptance budget is ≤ 1.1x wall clock: the recorder only does real
     work when an alert fires, which is rare relative to events.
@@ -622,9 +547,8 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
         LATENESS_SECONDS,
         POLICY,
         build_chaos_deployment,
-        canonical_alerts,
     )
-    from ..streaming import HardenedOnlineDice
+    from ..streaming import HardenedOnlineDice, canonical_alerts
 
     deployment = build_chaos_deployment(seed, hours=hours)
     events = deployment.events
@@ -765,20 +689,6 @@ def bench_backends(
     return entries
 
 
-def _capacity_canon(gateway, home_ids: Sequence[str]) -> Dict[str, str]:
-    """Per-home alert canon — kind/time/check/cases/devices/convergence."""
-    return {
-        home_id: repr(
-            [
-                (a.kind, a.time, a.check, a.cases,
-                 tuple(sorted(a.devices)), a.converged)
-                for a in gateway.alerts_of(home_id)
-            ]
-        )
-        for home_id in home_ids
-    }
-
-
 def bench_capacity(
     num_homes: int,
     archetypes: int,
@@ -810,7 +720,7 @@ def bench_capacity(
     from ..core.detector import DiceDetector as _Detector, DiceModel
     from ..core.encoding import StateSetEncoder
     from ..fleet import FleetGateway
-    from ..streaming import SupervisorPolicy
+    from ..streaming import SupervisorPolicy, canonical_alerts
 
     rng = np.random.default_rng(seed)
     layout = _synthetic_layout(num_bits)
@@ -902,8 +812,10 @@ def bench_capacity(
     shared_gw, shared_s, events = _run_arm(shared=True)
     replicated_gw, replicated_s, _ = _run_arm(shared=False)
 
-    if _capacity_canon(shared_gw, home_ids) != _capacity_canon(
-        replicated_gw, home_ids
+    if any(
+        canonical_alerts(shared_gw.alerts_of(home_id))
+        != canonical_alerts(replicated_gw.alerts_of(home_id))
+        for home_id in home_ids
     ):
         raise AssertionError(
             "shared+batched fleet changed per-home alerts vs replicated"
@@ -989,7 +901,6 @@ def bench_service(
         LATENESS_SECONDS,
         POLICY,
         build_chaos_deployment,
-        canonical_alerts,
     )
     from ..fleet import FleetGateway
     from ..service import (
@@ -998,7 +909,7 @@ def bench_service(
         ServiceConfig,
         ServiceThread,
     )
-    from ..streaming import HardenedOnlineDice
+    from ..streaming import HardenedOnlineDice, canonical_alerts
     from ..streaming.guard import OVERLOAD
 
     deployment = build_chaos_deployment(seed, hours=hours)
@@ -1155,7 +1066,6 @@ def run_benchmarks(
         "fit": bench_fit(fit_sizes, num_bits, seed),
         "scan": [bench_scan(groups, windows, num_bits, seed)],
         "segment": bench_detector_segment(groups, windows, num_bits, seed),
-        "telemetry": bench_telemetry(groups, windows, num_bits, seed),
         "eval": bench_eval(
             dataset, eval_hours, eval_precompute, eval_pairs, seed, workers_list
         ),
@@ -1289,27 +1199,18 @@ def validate_document(doc: Dict) -> Dict:
 
     segment = doc.get("segment")
     _require(isinstance(segment, dict), "segment must be an object")
-    for key in ("scalar_s", "batch_s", "speedup"):
-        _require(
-            isinstance(segment.get(key), (int, float)) and segment[key] >= 0,
-            f"segment.{key} must be a non-negative number",
-        )
-
-    tel = doc.get("telemetry")
-    _require(isinstance(tel, dict), "telemetry must be an object")
     for key in ("groups", "windows"):
         _require(
-            isinstance(tel.get(key), int) and tel[key] > 0,
-            f"telemetry.{key} must be a positive int",
-        )
-    for key in ("enabled_s", "disabled_s", "overhead_ratio"):
-        _require(
-            isinstance(tel.get(key), (int, float)) and tel[key] >= 0,
-            f"telemetry.{key} must be a non-negative number",
+            isinstance(segment.get(key), int) and segment[key] > 0,
+            f"segment.{key} must be a positive int",
         )
     _require(
-        isinstance(tel.get("overhead_pct"), (int, float)),
-        "telemetry.overhead_pct must be a number",
+        isinstance(segment.get("detections"), int) and segment["detections"] >= 0,
+        "segment.detections must be a non-negative int",
+    )
+    _require(
+        isinstance(segment.get("seconds"), (int, float)) and segment["seconds"] >= 0,
+        "segment.seconds must be a non-negative number",
     )
 
     ev = doc.get("eval")

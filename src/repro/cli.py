@@ -49,9 +49,10 @@ The subcommands cover the everyday workflows:
   and print per-cell precision/recall/detection-time (``-o`` writes the
   schema-validated deterministic report JSON);
 * ``bench`` — time the detection hot paths (fit, scalar vs memoised vs
-  batched correlation scan, parallel evaluation, telemetry overhead, fleet
-  homes x shards scaling, write-ahead journal overhead, the scenario
-  matrix, estate-scale capacity A/B) and write ``BENCH_perf.json``.
+  batched correlation scan, the full segment pipeline, parallel
+  evaluation, fleet homes x shards scaling, write-ahead journal overhead,
+  the scenario matrix, estate-scale capacity A/B) and write
+  ``BENCH_perf.json``.
 
 Primary results go to **stdout**; diagnostics (resume/checkpoint notices,
 errors, state changes) go through the structured logger on stderr —
@@ -1593,13 +1594,8 @@ def _cmd_bench(args) -> int:
     )
     segment = doc["segment"]
     print(
-        f"segment: full pipeline batch vs scalar {segment['speedup']:.1f}x "
-        f"({1e3 * segment['scalar_s']:.1f} -> {1e3 * segment['batch_s']:.1f} ms)"
-    )
-    tel = doc["telemetry"]
-    print(
-        f"telemetry: overhead {tel['overhead_pct']:+.1f}% "
-        f"({1e3 * tel['disabled_s']:.1f} -> {1e3 * tel['enabled_s']:.1f} ms)"
+        f"segment: full pipeline {segment['windows']} windows "
+        f"{1e3 * segment['seconds']:.1f} ms"
     )
     for run in doc["eval"]["runs"]:
         print(

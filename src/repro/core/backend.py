@@ -25,8 +25,8 @@ The contract per backend:
 
 Three backends register here:
 
-* ``dice`` — the paper's pipeline, byte-compatible with every checkpoint
-  and golden fixture that predates the backend seam;
+* ``dice`` — the paper's pipeline, byte-compatible with every golden
+  fixture that predates the backend seam;
 * ``markov`` — a per-device Markov-process transition detector (the WSN
   anomaly-framework restriction of DICE's transition check): one state
   chain per device, a violation whenever a device takes a transition never
@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -60,9 +61,9 @@ from .checks import CorrelationResult, TransitionCase
 from .config import DEFAULT_CONFIG, KNOWN_BACKENDS, DiceConfig
 from .detector import (
     CORRELATION_CHECK,
-    STAGE_SECONDS_HISTOGRAM,
     TRANSITION_CHECK,
     DiceDetector,
+    StageTimings,
 )
 from .encoding import StateSetEncoder, WindowedTrace
 from .identification import IdentificationSession, ProbableFaultSet
@@ -78,7 +79,11 @@ ENSEMBLE_CHECK = "ensemble"
 @dataclass(frozen=True)
 class BackendAlert:
     """One alert a backend raises; the runtime re-wraps it as a streaming
-    :class:`~repro.streaming.Alert` without touching any field."""
+    :class:`~repro.streaming.Alert` without touching any field.
+
+    ``window`` is the index of the window that raised it; identifications
+    also carry their session's ``windows_used``/``weighted_early``, which
+    the batch :class:`~repro.core.SegmentReport` view reports."""
 
     kind: str  # "detection" or "identification"
     time: float
@@ -86,10 +91,12 @@ class BackendAlert:
     cases: Tuple[TransitionCase, ...] = ()
     devices: FrozenSet[str] = frozenset()
     converged: bool = True
+    window: int = -1
+    windows_used: int = 0
+    weighted_early: bool = False
 
 
-@dataclass(frozen=True)
-class WindowVerdict:
+class WindowVerdict(NamedTuple):
     """One window's check outcome.
 
     ``payload`` is backend-private evidence (whatever ``identify`` and
@@ -105,8 +112,7 @@ class WindowVerdict:
     drift_signal: bool = False
 
 
-@dataclass(frozen=True)
-class WindowOutcome:
+class WindowOutcome(NamedTuple):
     """What one completed window produced, for the runtime to publish."""
 
     alerts: Tuple[BackendAlert, ...] = ()
@@ -114,25 +120,45 @@ class WindowOutcome:
     drift_signal: bool = False
 
 
-@dataclass(frozen=True)
-class _BatchWindow:
-    """Duck-typed window snapshot for the batch replay path (kept local so
-    ``repro.core`` never imports ``repro.streaming``)."""
+#: Outcomes of a quiet window with no session open, by drift signal: the
+#: common case allocates nothing.
+_QUIET_OUTCOMES = (WindowOutcome(), WindowOutcome(drift_signal=True))
 
-    index: int
-    start: float
-    end: float
-    mask: int
-    actuator_activations: FrozenSet[str] = field(default_factory=frozenset)
+#: A window without violation contributes no evidence to an open session.
+_NO_EVIDENCE = ProbableFaultSet(frozenset())
+
+#: DICE's allocation-free verdicts: a quiet window and a correlation
+#: violation (the evidence lives on the backend, see ``DiceBackend.check``).
+_QUIET_VERDICT = WindowVerdict(False)
+_CORRELATION_VIOLATION = WindowVerdict(True, CORRELATION_CHECK, drift_signal=True)
+
+
+@dataclass(slots=True)
+class _BatchWindow:
+    """Duck-typed window snapshot for batch replay (kept local so
+    ``repro.core`` never imports ``repro.streaming``).  The batch loop
+    rebinds one instance per window, so backends must not keep it."""
+
+    index: int = 0
+    start: float = 0.0
+    end: float = 0.0
+    mask: int = 0
+    actuator_activations: FrozenSet[str] = frozenset()
 
 
 class DetectorBackend:
     """Base class: the shared identification-session state machine plus the
     checkpoint plumbing; subclasses supply ``fit``/``check``/``identify``.
 
-    The session template in :meth:`observe_window` is *the* semantics both
-    the batch driver and the streaming runtime agree on — subclassing it is
-    what makes streaming==batch parity hold for free for a new backend.
+    :meth:`observe_window` is the only detect-then-identify state machine:
+    the streaming runtime calls it per window, and :meth:`run_windows`
+    (behind :meth:`process_batch` and ``DiceDetector.process``) calls it
+    over a whole encoded segment.  Subclassing it is what makes
+    streaming==batch parity hold for free for a new backend.
+
+    ``check`` and the session template add their wall-clock seconds to
+    :attr:`timings`; the batch loop reports it per segment and the
+    streaming runtime observes its per-window deltas.
     """
 
     #: Registry name; subclasses override.
@@ -150,17 +176,9 @@ class DetectorBackend:
         self.weights = weights
         self.metrics = telemetry.resolve(metrics)
         self.tracer = telemetry.Tracer(self.metrics)
+        self.timings = StageTimings()
         self._session: Optional[IdentificationSession] = None
         self._session_trigger: str = CORRELATION_CHECK
-        stage_hist = self.metrics.histogram(
-            STAGE_SECONDS_HISTOGRAM,
-            "Wall-clock seconds per streamed window, by real-time stage",
-            labelnames=("stage",),
-        )
-        self._stage_obs = {
-            stage: stage_hist.labels(stage=stage)
-            for stage in ("correlation", "transition", "identification")
-        }
 
     # -- fitting -------------------------------------------------------- #
 
@@ -196,39 +214,41 @@ class DetectorBackend:
     def observe_window(self, snapshot, qbits: int = 0) -> WindowOutcome:
         """Run one window through check + the identification session.
 
-        This is the exact state machine of the paper's real-time phase
-        (and of ``DiceDetector.process``): a violation with no session
-        open raises a detection and opens a session; while a session is
-        open every window feeds it probable-faulty evidence; a converged
-        (or exhausted) session concludes with an identification.
+        This is the exact state machine of the paper's real-time phase: a
+        violation with no session open raises a detection and opens a
+        session; while a session is open every window feeds it
+        probable-faulty evidence; a converged (or exhausted) session
+        concludes with an identification.
         """
         verdict = self.check(snapshot, qbits)
-        alerts: List[BackendAlert] = []
+        session = self._session
+        if session is None and not verdict.violation:
+            self._post_window(snapshot, verdict, qbits)
+            return _QUIET_OUTCOMES[verdict.drift_signal]
         t0 = time.perf_counter()
-        if self._session is None:
-            if verdict.violation:
-                alerts.append(
-                    BackendAlert(
-                        "detection",
-                        snapshot.end,
-                        check=verdict.check,
-                        cases=verdict.cases,
-                    )
+        alerts: List[BackendAlert] = []
+        if session is None:
+            alerts.append(
+                BackendAlert(
+                    "detection",
+                    snapshot.end,
+                    check=verdict.check,
+                    cases=verdict.cases,
+                    window=snapshot.index,
                 )
-                probable = self.identify(verdict, snapshot)
-                self._session = IdentificationSession(
-                    self.config, probable, self.weights
-                )
-                self._session_trigger = verdict.check
+            )
+            session = self._session = IdentificationSession(
+                self.config, self.identify(verdict, snapshot), self.weights
+            )
+            self._session_trigger = verdict.check
         else:
-            if verdict.violation:
-                probable = self.identify(verdict, snapshot)
-            else:
-                probable = ProbableFaultSet(frozenset())
-            self._session.update(probable)
-
-        if self._session is not None and self._session.is_done:
-            outcome = self._session.outcome
+            session.update(
+                self.identify(verdict, snapshot)
+                if verdict.violation
+                else _NO_EVIDENCE
+            )
+        outcome = session.outcome
+        if outcome is not None:
             alerts.append(
                 BackendAlert(
                     "identification",
@@ -236,10 +256,13 @@ class DetectorBackend:
                     check=self._session_trigger,
                     devices=outcome.devices,
                     converged=outcome.converged,
+                    window=snapshot.index,
+                    windows_used=outcome.windows_used,
+                    weighted_early=outcome.weighted_early,
                 )
             )
             self._session = None
-        self._stage_obs["identification"].observe(time.perf_counter() - t0)
+        self.timings.identification_s += time.perf_counter() - t0
         self._post_window(snapshot, verdict, qbits)
         return WindowOutcome(
             tuple(alerts), verdict.violation, verdict.drift_signal
@@ -255,11 +278,12 @@ class DetectorBackend:
             check=self._session_trigger,
             devices=self._session.intersection,
             converged=False,
+            windows_used=self._session.windows_used,
         )
         self._session = None
         return alert
 
-    # -- batch replay (the differential oracle's other arm) -------------- #
+    # -- batch replay ----------------------------------------------------- #
 
     def batch_twin(self) -> "DetectorBackend":
         """A backend sharing this one's fitted model but with fresh
@@ -267,30 +291,43 @@ class DetectorBackend:
         raise NotImplementedError
 
     def process_batch(self, trace: Trace) -> List[BackendAlert]:
-        """Replay a segment through the window loop in one batch pass.
-
-        Default implementation: encode the whole segment, then run the
-        same :meth:`observe_window` template per window on a fresh twin.
-        Backends with a genuinely different batch path (DICE's vectorised
-        ``check_many``) override this — that difference is exactly what
-        the conformance suite's parity oracle exercises.
-        """
+        """Replay a segment through :meth:`observe_window` on a fresh twin."""
         twin = self.batch_twin()
-        windowed = twin.encode_window(trace)
-        seconds = windowed.window_seconds
+        return twin.run_windows(twin.encode_window(trace))
+
+    def prefetch_windows(self, windowed: WindowedTrace) -> None:
+        """Hook: resolve per-window work for a whole segment up front,
+        before :meth:`run_windows` checks it window by window."""
+
+    def run_windows(self, windowed: WindowedTrace) -> List[BackendAlert]:
+        """Drive fresh streaming state through a whole encoded segment.
+
+        Returns the alerts in window order, an open session concluded at
+        the segment end; :attr:`timings` gains the segment's stage
+        seconds, window count and memo hit/miss deltas.
+        """
+        timings = self.timings
+        hits0, misses0 = self.cache_counters()
+        self.prefetch_windows(windowed)
         alerts: List[BackendAlert] = []
+        window = _BatchWindow()
+        start, seconds = windowed.start, windowed.window_seconds
+        observe = self.observe_window
         for i, (mask, acts) in enumerate(windowed):
-            start = windowed.window_start(i)
-            window = _BatchWindow(i, start, start + seconds, mask, acts)
-            alerts.extend(twin.observe_window(window).alerts)
-        last_end = (
-            windowed.window_start(len(windowed) - 1) + seconds
-            if len(windowed)
-            else trace.start
-        )
-        tail = twin.finish_segment(last_end)
+            window.index, window.mask, window.actuator_activations = i, mask, acts
+            window.start = begin = start + i * seconds
+            window.end = begin + seconds
+            outcome = observe(window)
+            if outcome.alerts:
+                alerts.extend(outcome.alerts)
+        n = len(windowed)
+        tail = self.finish_segment(window.end) if n else None
         if tail is not None:
-            alerts.append(tail)
+            alerts.append(replace(tail, window=n - 1))
+        hits1, misses1 = self.cache_counters()
+        timings.windows += n
+        timings.correlation_cache_hits += hits1 - hits0
+        timings.correlation_cache_misses += misses1 - misses0
         return alerts
 
     # -- evidence / telemetry ------------------------------------------- #
@@ -346,7 +383,7 @@ class DetectorBackend:
         return state
 
     def load_state(self, state: dict) -> None:
-        session = state.get("session")
+        session = state["session"]
         self._session = (
             None
             if session is None
@@ -354,7 +391,7 @@ class DetectorBackend:
                 self.config, session, self.weights
             )
         )
-        self._session_trigger = state.get("session_trigger", CORRELATION_CHECK)
+        self._session_trigger = state["session_trigger"]
         self.load_payload(state.get(self.name))
 
     # -- model identity --------------------------------------------------- #
@@ -374,8 +411,8 @@ class DiceBackend(DetectorBackend):
     Wraps a :class:`DiceDetector`; every checker is read through the
     detector on each access, so shared-context interning, copy-on-write
     forks and context refreshes keep working unchanged.  The checkpoint
-    layout and fingerprint are byte-compatible with the pre-backend
-    runtime (checkpoint versions 1-4).
+    keys are flat (no per-backend payload) and the fingerprint carries no
+    backend name.
     """
 
     name = "dice"
@@ -393,10 +430,14 @@ class DiceBackend(DetectorBackend):
         self._prev_group: Optional[int] = None
         self._anchor_group: Optional[int] = None
         self._prev_acts: FrozenSet[str] = frozenset()
-        self._last_check: Tuple[CorrelationResult, tuple] = (
-            CorrelationResult(0, None, ()),
-            (),
-        )
+        # The last checked window's correlation result and transition
+        # violations: what ``identify``, ``_post_window`` and the
+        # provenance evidence read.
+        self._corr = CorrelationResult(0, None, ())
+        self._violations: Sequence = ()
+        # Batch replay only: every window's correlation result, resolved
+        # up front by one ``check_many`` pass (see ``prefetch_windows``).
+        self._prefetched: Optional[List[CorrelationResult]] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -444,105 +485,65 @@ class DiceBackend(DetectorBackend):
         return CorrelationResult(mask & visible, main, tuple(probable))
 
     def check(self, snapshot, qbits: int = 0) -> WindowVerdict:
-        detector = self.dice_detector
-        observe = self._stage_obs
-        with self.tracer.trace("correlation"):
+        timings = self.timings
+        prefetched = self._prefetched
+        if prefetched is not None and not qbits:
+            corr = prefetched[snapshot.index]
+        else:
             t0 = time.perf_counter()
             corr = self._check_correlation(snapshot.mask, qbits)
-            observe["correlation"].observe(time.perf_counter() - t0)
-        violations: tuple = ()
-        if not corr.is_violation:
-            with self.tracer.trace("transition"):
-                t0 = time.perf_counter()
-                violations = tuple(
-                    detector._transition_checker.check(
-                        self._prev_group,
-                        corr.main_group,
-                        self._prev_acts,
-                        snapshot.actuator_activations,
-                    )
-                )
-                observe["transition"].observe(time.perf_counter() - t0)
-        self._last_check = (corr, violations)
-        if corr.is_violation:
-            return WindowVerdict(
-                True,
-                CORRELATION_CHECK,
-                payload=(corr, violations),
-                drift_signal=True,
-            )
+            timings.correlation_s += time.perf_counter() - t0
+        self._corr = corr
+        main = corr.main_group
+        if main is None:
+            self._violations = ()
+            return _CORRELATION_VIOLATION
+        t0 = time.perf_counter()
+        violations = self.dice_detector._transition_checker.check(
+            self._prev_group, main, self._prev_acts, snapshot.actuator_activations
+        )
+        timings.transition_s += time.perf_counter() - t0
+        self._violations = violations
         if violations:
             return WindowVerdict(
-                True,
-                TRANSITION_CHECK,
-                cases=tuple(v.case for v in violations),
-                payload=(corr, violations),
+                True, TRANSITION_CHECK, tuple(v.case for v in violations)
             )
-        return WindowVerdict(False, payload=(corr, violations))
+        return _QUIET_VERDICT
 
     def identify(self, verdict: WindowVerdict, snapshot) -> ProbableFaultSet:
-        corr, violations = verdict.payload
+        corr = self._corr
         identifier = self.dice_detector._identifier
-        if corr.is_violation:
+        if corr.main_group is None:
             return identifier.from_correlation_violation(
                 corr, self._anchor_group
             )
         return identifier.from_transition_violations(
-            violations, snapshot.mask, self._prev_group
+            self._violations, snapshot.mask, self._prev_group
         )
 
     def _post_window(self, snapshot, verdict: WindowVerdict, qbits: int) -> None:
-        corr, _ = verdict.payload
-        self._prev_group = corr.main_group
-        if corr.main_group is not None:
-            self._anchor_group = corr.main_group
+        main = self._corr.main_group
+        self._prev_group = main
+        if main is not None:
+            self._anchor_group = main
         self._prev_acts = snapshot.actuator_activations
 
     # -- batch ------------------------------------------------------------ #
 
     def batch_twin(self) -> "DiceBackend":
         # A fresh wrap over the same fitted detector: clean transient
-        # streaming state, shared trained model.  Used when DICE runs as
-        # an ensemble child — the standalone batch path below goes
-        # through the vectorised report driver instead.
+        # streaming state, shared trained model.
         return DiceBackend(self.dice_detector)
 
-    def process_batch(self, trace: Trace) -> List[BackendAlert]:
-        """The genuinely different arm of the differential oracle: DICE's
-        batch driver resolves every correlation check through one
-        vectorised ``check_many`` matrix pass, then merges the report back
-        into window order."""
-        report = self.dice_detector.process(trace, publish=False)
-        alerts: List[BackendAlert] = []
-        detections = report.detections
-        identifications = report.identifications
-        di = ii = 0
-        while di < len(detections) or ii < len(identifications):
-            take_detection = ii >= len(identifications) or (
-                di < len(detections)
-                and detections[di].window <= identifications[ii].window
-            )
-            if take_detection:
-                r = detections[di]
-                di += 1
-                alerts.append(
-                    BackendAlert(
-                        "detection", r.time, check=r.check, cases=r.cases
-                    )
-                )
-            else:
-                r = identifications[ii]
-                ii += 1
-                alerts.append(
-                    BackendAlert(
-                        "identification",
-                        r.time,
-                        check=r.triggered_by,
-                        devices=r.devices,
-                        converged=r.converged,
-                    )
-                )
-        return alerts
+    def prefetch_windows(self, windowed: WindowedTrace) -> None:
+        """Resolve the whole segment's correlation checks through one
+        vectorised ``check_many`` matrix pass (result-identical to the
+        per-window memoised check, hit/miss counters included)."""
+        t0 = time.perf_counter()
+        self._prefetched = self.dice_detector._correlation_checker.check_many(
+            windowed.masks
+        )
+        self.timings.correlation_s += time.perf_counter() - t0
 
     # -- evidence / telemetry --------------------------------------------- #
 
@@ -550,7 +551,7 @@ class DiceBackend(DetectorBackend):
         from .checks import correlation_evidence, violation_evidence
 
         detector = self.dice_detector
-        corr, violations = self._last_check
+        corr = self._corr
         return {
             "window": snapshot.index,
             "start": snapshot.start,
@@ -562,7 +563,7 @@ class DiceBackend(DetectorBackend):
             ),
             "transitions": [
                 violation_evidence(detector.model.transitions, v)
-                for v in violations
+                for v in self._violations
             ],
         }
 
@@ -576,36 +577,21 @@ class DiceBackend(DetectorBackend):
     # -- checkpointing ----------------------------------------------------- #
 
     def checkpoint_state(self) -> dict:
-        # Flat legacy keys: byte-compatible with checkpoint versions 1-4.
-        return {
-            "prev_group": self._prev_group,
-            "anchor_group": self._anchor_group,
-            "prev_acts": sorted(self._prev_acts),
-            "session": (
-                None if self._session is None else self._session.state_dict()
-            ),
-            "session_trigger": self._session_trigger,
-        }
+        state = super().checkpoint_state()
+        state["prev_group"] = self._prev_group
+        state["anchor_group"] = self._anchor_group
+        state["prev_acts"] = sorted(self._prev_acts)
+        return state
 
     def load_state(self, state: dict) -> None:
+        super().load_state(state)
         self._prev_group = state["prev_group"]
         self._anchor_group = state["anchor_group"]
         self._prev_acts = frozenset(state["prev_acts"])
-        session = state["session"]
-        self._session = (
-            None
-            if session is None
-            else IdentificationSession.from_state_dict(
-                self.config, session, self.weights
-            )
-        )
-        self._session_trigger = state["session_trigger"]
 
     # -- model identity ----------------------------------------------------- #
 
     def fingerprint(self) -> dict:
-        # The legacy four-key fingerprint, unchanged so v1-v4 checkpoints
-        # and fleet-manifest/1-2 entries keep validating.
         model = self.dice_detector.model
         if model is None:
             raise ValueError("detector must be fitted")
@@ -709,35 +695,34 @@ class MarkovBackend(DetectorBackend):
 
     def check(self, snapshot, qbits: int = 0) -> WindowVerdict:
         self._require_fitted()
-        with self.tracer.trace("transition"):
-            t0 = time.perf_counter()
-            layout = self.encoder.layout
-            states: Dict[str, Optional[int]] = dict(
-                self._window_states(snapshot.mask, snapshot.actuator_activations)
-            )
-            if qbits:
-                # Quarantined sensors are unknowns: no violation can be
-                # charged to (or through) their masked bits.
-                for device in self._sensor_ids:
-                    if any(
-                        (qbits >> bit) & 1
-                        for bit in layout.bits_of_device(device)
-                    ):
-                        states[device] = None
-            min_row = self.config.min_row_observations
-            violating: List[str] = []
-            for device in self._device_order:
-                cur = states[device]
-                prev = self._prev_states.get(device)
-                if prev is None or cur is None:
-                    continue
-                chain = self._chains[device]
-                if (
-                    chain.row_total(prev) >= min_row
-                    and chain.count(prev, cur) == 0
+        t0 = time.perf_counter()
+        layout = self.encoder.layout
+        states: Dict[str, Optional[int]] = dict(
+            self._window_states(snapshot.mask, snapshot.actuator_activations)
+        )
+        if qbits:
+            # Quarantined sensors are unknowns: no violation can be
+            # charged to (or through) their masked bits.
+            for device in self._sensor_ids:
+                if any(
+                    (qbits >> bit) & 1
+                    for bit in layout.bits_of_device(device)
                 ):
-                    violating.append(device)
-            self._stage_obs["transition"].observe(time.perf_counter() - t0)
+                    states[device] = None
+        min_row = self.config.min_row_observations
+        violating: List[str] = []
+        for device in self._device_order:
+            cur = states[device]
+            prev = self._prev_states.get(device)
+            if prev is None or cur is None:
+                continue
+            chain = self._chains[device]
+            if (
+                chain.row_total(prev) >= min_row
+                and chain.count(prev, cur) == 0
+            ):
+                violating.append(device)
+        self.timings.transition_s += time.perf_counter() - t0
         self._last_violating = tuple(violating)
         payload = (tuple(violating), states)
         if violating:
@@ -868,6 +853,9 @@ class EnsembleBackend(DetectorBackend):
                 f"quorum must be in [1, {len(self.children)}], "
                 f"got {self.quorum}"
             )
+        # Every child's stage seconds land in the ensemble's one ledger.
+        for child in self.children:
+            child.timings = self.timings
 
     @property
     def is_fitted(self) -> bool:
@@ -908,7 +896,12 @@ class EnsembleBackend(DetectorBackend):
         alerts: List[BackendAlert] = []
         if detect_votes >= self.quorum:
             alerts.append(
-                BackendAlert("detection", snapshot.end, check=ENSEMBLE_CHECK)
+                BackendAlert(
+                    "detection",
+                    snapshot.end,
+                    check=ENSEMBLE_CHECK,
+                    window=snapshot.index,
+                )
             )
         if len(ident_votes) >= self.quorum:
             alerts.append(
@@ -921,6 +914,7 @@ class EnsembleBackend(DetectorBackend):
                         sum(1 for a in ident_votes if a.converged)
                         >= self.quorum
                     ),
+                    window=snapshot.index,
                 )
             )
         return WindowOutcome(
@@ -954,6 +948,10 @@ class EnsembleBackend(DetectorBackend):
         )
 
     # -- batch ------------------------------------------------------------ #
+
+    def prefetch_windows(self, windowed: WindowedTrace) -> None:
+        for child in self.children:
+            child.prefetch_windows(windowed)
 
     def batch_twin(self) -> "EnsembleBackend":
         return EnsembleBackend(

@@ -379,10 +379,12 @@ class TransitionChecker:
         violations: List[TransitionViolation] = []
         model = self.transitions
         min_obs = self.config.min_row_observations
+        # Conditions are ordered cheapest-to-fail first: almost every
+        # window follows a seen transition, and most activate no actuator.
         if prev_group is not None:
             if (
-                model.g2g.row_total(prev_group) >= min_obs
-                and model.g2g.probability(prev_group, cur_group) == 0.0
+                model.g2g.probability(prev_group, cur_group) == 0.0
+                and model.g2g.row_total(prev_group) >= min_obs
                 and self._group_is_confident(prev_group)
                 and self._group_is_confident(cur_group)
                 and not self._two_step_reachable(prev_group, cur_group)
@@ -390,7 +392,7 @@ class TransitionChecker:
                 violations.append(
                     TransitionViolation(TransitionCase.G2G, prev_group, cur_group)
                 )
-            for act in sorted(cur_actuators):
+            for act in sorted(cur_actuators) if cur_actuators else ():
                 if (
                     model.g2a.probability(prev_group, act) == 0.0
                     and self._group_is_confident(prev_group)
@@ -400,7 +402,7 @@ class TransitionChecker:
                             TransitionCase.G2A, prev_group, cur_group, actuator=act
                         )
                     )
-        for act in sorted(prev_actuators):
+        for act in sorted(prev_actuators) if prev_actuators else ():
             if (
                 model.a2g.row_total(act) >= min_obs
                 and model.a2g.probability(act, cur_group) == 0.0

@@ -11,7 +11,9 @@ frozenset({'kitchen_motion'})
 extraction and transition extraction — on fault-free data.  ``process``
 runs the real-time phase over a segment: correlation check, transition
 check, and (on a violation) an identification session that narrows the
-probable faulty devices window by window.
+probable faulty devices window by window — the state machine of
+:meth:`~repro.core.backend.DetectorBackend.observe_window`, which the
+streaming runtime drives too.
 """
 
 from __future__ import annotations
@@ -22,20 +24,11 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from .. import telemetry
 from ..model import DeviceRegistry, Trace
-from .checks import (
-    CorrelationChecker,
-    CorrelationResult,
-    TransitionCase,
-    TransitionChecker,
-)
+from .checks import CorrelationChecker, TransitionCase, TransitionChecker
 from .config import DEFAULT_CONFIG, DiceConfig
 from .encoding import StateSetEncoder, WindowedTrace
 from .groups import GroupRegistry
-from .identification import (
-    Identifier,
-    IdentificationSession,
-    ProbableFaultSet,
-)
+from .identification import Identifier
 from .transitions import TransitionModel
 from .weights import DeviceWeights
 
@@ -457,14 +450,13 @@ class DiceDetector:
     # Real-time phase
     # ------------------------------------------------------------------ #
 
-    def process(
-        self, trace: Trace, batch: bool = True, publish: bool = True
-    ) -> SegmentReport:
+    def process(self, trace: Trace, publish: bool = True) -> SegmentReport:
         """Run the real-time phase over a segment trace.
 
-        ``batch=True`` (default) resolves every window's correlation check
-        through one vectorised distance-matrix pass; ``batch=False`` keeps
-        the window-at-a-time scalar path.  Both produce identical reports.
+        Every window's correlation check is resolved up front by one
+        vectorised distance-matrix pass; the windows then run through the
+        same detect-then-identify state machine the streaming runtime uses
+        (:meth:`DetectorBackend.observe_window`).
 
         ``publish=False`` suppresses reporting the segment's
         :class:`StageTimings` into the telemetry registry — the evaluation
@@ -477,164 +469,47 @@ class DiceDetector:
                 t0 = time.perf_counter()
                 windowed = model.encoder.encode(trace)
                 encoding_s = time.perf_counter() - t0
-            report = self._process_windows_impl(windowed, batch)
-            report.timings.encoding_s += encoding_s
+            report = self.process_windows(windowed, publish=False)
+        report.timings.encoding_s += encoding_s
         if publish:
             report.timings.publish(self.metrics)
         return report
 
     def process_windows(
-        self, windowed: WindowedTrace, batch: bool = True, publish: bool = True
+        self, windowed: WindowedTrace, publish: bool = True
     ) -> SegmentReport:
-        """Real-time phase over pre-encoded windows."""
-        self._require_fitted()
-        with self.tracer.trace("process_windows"):
-            report = self._process_windows_impl(windowed, batch)
-        if publish:
-            report.timings.publish(self.metrics)
-        return report
+        """Real-time phase over pre-encoded windows: the
+        :class:`SegmentReport` view of one batch pass through a fresh
+        :class:`~repro.core.backend.DiceBackend` over this detector."""
+        from .backend import DiceBackend  # backend.py imports this module
 
-    def _process_windows_impl(
-        self, windowed: WindowedTrace, batch: bool = True
-    ) -> SegmentReport:
+        self._require_fitted()
+        backend = DiceBackend(self)
+        with self.tracer.trace("process_windows"):
+            alerts = backend.run_windows(windowed)
         report = SegmentReport(
             n_windows=len(windowed),
             window_seconds=windowed.window_seconds,
             start=windowed.start,
+            timings=backend.timings,
         )
-        timings = report.timings
-        corr_checker = self._correlation_checker
-        trans_checker = self._transition_checker
-        identifier = self._identifier
-        cache_hits0 = corr_checker.cache_hits
-        cache_misses0 = corr_checker.cache_misses
-
-        # Batch path: one (W, G) matrix pass answers the correlation check
-        # for the whole segment; the per-window loop below then consumes
-        # the precomputed results in order.
-        corr_results: Optional[List[CorrelationResult]] = None
-        if batch and len(windowed):
-            with self.tracer.trace("correlation"):
-                t0 = time.perf_counter()
-                corr_results = corr_checker.check_many(windowed.masks)
-                timings.correlation_s += time.perf_counter() - t0
-
-        prev_group: Optional[int] = None
-        # The last window that matched a main group — identification prunes
-        # probable groups by their transition probability from this anchor,
-        # which stays valid across a run of violating windows.
-        anchor_group: Optional[int] = None
-        prev_acts: FrozenSet[str] = frozenset()
-        session: Optional[IdentificationSession] = None
-        session_trigger = CORRELATION_CHECK
-
-        for i, (mask, acts) in enumerate(windowed):
-            timings.windows += 1
-            window_end = windowed.window_start(i) + windowed.window_seconds
-
-            if corr_results is not None:
-                corr = corr_results[i]
-            else:
-                t0 = time.perf_counter()
-                corr = corr_checker.check(mask)
-                timings.correlation_s += time.perf_counter() - t0
-
-            violations = ()
-            if not corr.is_violation:
-                t0 = time.perf_counter()
-                violations = trans_checker.check(
-                    prev_group, corr.main_group, prev_acts, acts
+        for alert in alerts:
+            if alert.kind == "detection":
+                report.detections.append(
+                    DetectionRecord(alert.window, alert.time, alert.check, alert.cases)
                 )
-                timings.transition_s += time.perf_counter() - t0
-
-            if session is None:
-                if corr.is_violation:
-                    report.detections.append(
-                        DetectionRecord(i, window_end, CORRELATION_CHECK)
-                    )
-                    t0 = time.perf_counter()
-                    probable = identifier.from_correlation_violation(
-                        corr, anchor_group
-                    )
-                    session = IdentificationSession(
-                        self.config, probable, self.weights
-                    )
-                    timings.identification_s += time.perf_counter() - t0
-                    session_trigger = CORRELATION_CHECK
-                    session_start_window = i
-                elif violations:
-                    report.detections.append(
-                        DetectionRecord(
-                            i,
-                            window_end,
-                            TRANSITION_CHECK,
-                            tuple(v.case for v in violations),
-                        )
-                    )
-                    t0 = time.perf_counter()
-                    probable = identifier.from_transition_violations(
-                        violations, mask, prev_group
-                    )
-                    session = IdentificationSession(
-                        self.config, probable, self.weights
-                    )
-                    timings.identification_s += time.perf_counter() - t0
-                    session_trigger = TRANSITION_CHECK
-                    session_start_window = i
             else:
-                # §3.4: while identifying, skip fresh detections and feed
-                # the session this window's probable-faulty evidence.
-                t0 = time.perf_counter()
-                if corr.is_violation:
-                    probable = identifier.from_correlation_violation(
-                        corr, anchor_group
-                    )
-                elif violations:
-                    probable = identifier.from_transition_violations(
-                        violations, mask, prev_group
-                    )
-                else:
-                    probable = ProbableFaultSet(frozenset())
-                session.update(probable)
-                timings.identification_s += time.perf_counter() - t0
-
-            if session is not None and session.is_done:
-                outcome = session.outcome
                 report.identifications.append(
                     IdentificationRecord(
-                        i,
-                        window_end,
-                        outcome.devices,
-                        outcome.windows_used,
-                        outcome.converged,
-                        outcome.weighted_early,
-                        triggered_by=session_trigger,
+                        alert.window,
+                        alert.time,
+                        alert.devices,
+                        alert.windows_used,
+                        alert.converged,
+                        alert.weighted_early,
+                        triggered_by=alert.check,
                     )
                 )
-                session = None
-
-            prev_group = corr.main_group
-            if corr.main_group is not None:
-                anchor_group = corr.main_group
-            prev_acts = acts
-
-        timings.correlation_cache_hits += corr_checker.cache_hits - cache_hits0
-        timings.correlation_cache_misses += (
-            corr_checker.cache_misses - cache_misses0
-        )
-        if session is not None:
-            # Segment ended mid-session: report the best current guess.
-            last_end = windowed.window_start(len(windowed) - 1) + (
-                windowed.window_seconds if len(windowed) else 0.0
-            )
-            report.identifications.append(
-                IdentificationRecord(
-                    max(0, len(windowed) - 1),
-                    last_end,
-                    session.intersection,
-                    session.windows_used,
-                    converged=False,
-                    triggered_by=session_trigger,
-                )
-            )
+        if publish:
+            report.timings.publish(self.metrics)
         return report

@@ -88,13 +88,12 @@ class BitLayout:
 
     def devices_of_mask(self, mask: int) -> List[str]:
         """Distinct sensors owning the set bits of *mask*, layout order."""
+        specs = self._specs
         seen: Dict[str, None] = {}
-        bit = 0
         while mask:
-            if mask & 1:
-                seen.setdefault(self._specs[bit].device_id, None)
-            mask >>= 1
-            bit += 1
+            low = mask & -mask  # visit set bits only, lowest first
+            seen.setdefault(specs[low.bit_length() - 1].device_id, None)
+            mask ^= low
         return list(seen)
 
     @property

@@ -45,9 +45,9 @@ from .runtime import (
 PathLike = Union[str, os.PathLike]
 
 DURABILITY_SIDECAR = "durability.json"
-#: /2 added ``ingest_seqs`` (per-home journaled-event counts, the ingest
-#: service's resume points); /1 sidecars load fine — the counts rebuild
-#: from the journal tail alone in that case.
+#: The only restorable sidecar schema: /2 carries per-home journal epochs,
+#: alert sequences and ``ingest_seqs`` (journaled-event counts, the ingest
+#: service's resume points).
 DURABILITY_SCHEMA = "dice-fleet-durability/2"
 
 _log = telemetry.get_logger("repro.durability.fleet")
@@ -264,7 +264,7 @@ class DurableFleetGateway:
         Returns ``(durable_fleet, replayed_alerts)``.
         """
         t0 = time.perf_counter()
-        sidecar: dict = {}
+        sidecar: dict = {"journal_epochs": {}, "alert_seqs": {}, "ingest_seqs": {}}
         manifest_path = (
             None
             if checkpoint_dir is None
@@ -284,20 +284,24 @@ class DurableFleetGateway:
 
                 with open(sidecar_path, "r", encoding="utf-8") as handle:
                     sidecar = json.load(handle)
+                if sidecar.get("schema") != DURABILITY_SCHEMA:
+                    raise CheckpointError(
+                        f"durability sidecar {sidecar_path} has schema "
+                        f"{sidecar.get('schema')!r}, expected {DURABILITY_SCHEMA!r}"
+                    )
         elif gateway is None:
             raise CheckpointError(
                 "no fleet checkpoint to restore and no fresh gateway supplied"
             )
-        epochs = sidecar.get("journal_epochs", {})
-        seqs = sidecar.get("alert_seqs", {})
+        epochs = sidecar["journal_epochs"]
         durable = cls(
             gateway,
             journal_root,
             fsync=fsync,
             fsync_interval=fsync_interval,
             outbox=outbox,
-            alert_seqs=seqs,
-            ingest_seqs=sidecar.get("ingest_seqs", {}),
+            alert_seqs=sidecar["alert_seqs"],
+            ingest_seqs=sidecar["ingest_seqs"],
         )
         replayed: List[FleetAlert] = []
         total_records = 0

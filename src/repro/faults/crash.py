@@ -49,7 +49,7 @@ from ..durability import (
 from ..telemetry.provenance import canonical_record_bytes
 from ..fleet import FleetGateway
 from ..model import DeviceRegistry, Event, SensorType, Trace, actuator, binary_sensor, numeric_sensor
-from ..streaming import Alert, HardenedOnlineDice, SupervisorPolicy
+from ..streaming import Alert, HardenedOnlineDice, SupervisorPolicy, canonical_alerts
 from .models import FaultType, InjectedFault, apply_fault
 from .pipe import PipeFaultInjector, PipeFaultSpec, PipeFaultType
 
@@ -222,16 +222,6 @@ def build_chaos_deployment(
 # --------------------------------------------------------------------- #
 # Canonicalization & counters
 # --------------------------------------------------------------------- #
-
-
-def canonical_alerts(alerts: Sequence[Alert]) -> str:
-    """Byte rendering independent of the process hash seed."""
-    return repr(
-        [
-            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-            for a in alerts
-        ]
-    )
 
 
 def canonical_provenance(records: Sequence[dict]) -> Dict[str, bytes]:

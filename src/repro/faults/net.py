@@ -45,7 +45,7 @@ import numpy as np
 from .. import telemetry
 from ..durability import AlertOutbox, DurableFleetGateway, FileSink, FlakySink
 from ..service import IngestServer, ServiceClient, ServiceConfig, ServiceThread
-from ..streaming import Alert
+from ..streaming import Alert, canonical_alerts
 from ..streaming.guard import OVERLOAD
 from ..streaming.runtime import ALERTS_TOTAL
 from .crash import (
@@ -58,7 +58,6 @@ from .crash import (
     _expected_ids,
     _fresh_fleet,
     build_chaos_fleet,
-    canonical_alerts,
     fleet_oracle,
     tear_final_record,
 )

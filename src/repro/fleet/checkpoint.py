@@ -53,12 +53,9 @@ from ..streaming import (
 from ..streaming.checkpoint import write_json_atomic
 from .gateway import FleetGateway
 
+#: The only restorable manifest schema: /3 records every home's backend
+#: name, model fingerprint and base context hash.
 MANIFEST_SCHEMA = "dice-fleet-manifest/3"
-#: Restorable manifest schemas; /1 lacks the context hashes, /2 the
-#: per-home backend names (absent means ``dice``).
-COMPATIBLE_SCHEMAS = frozenset(
-    {"dice-fleet-manifest/1", "dice-fleet-manifest/2", MANIFEST_SCHEMA}
-)
 MANIFEST_NAME = "manifest.json"
 
 _log = telemetry.get_logger("repro.fleet.checkpoint")
@@ -127,8 +124,13 @@ def load_fleet_manifest(directory: PathLike) -> dict:
         raise CheckpointError(f"cannot read fleet manifest {path}: {exc}") from exc
     except ValueError as exc:
         raise CheckpointError(f"corrupt fleet manifest {path}: {exc}") from exc
-    if not isinstance(manifest, dict) or manifest.get("schema") not in COMPATIBLE_SCHEMAS:
+    if not isinstance(manifest, dict):
         raise CheckpointError(f"{path} is not a fleet manifest")
+    if manifest.get("schema") != MANIFEST_SCHEMA:
+        raise CheckpointError(
+            f"{path} is not a fleet manifest of schema {MANIFEST_SCHEMA!r} "
+            f"(found {manifest.get('schema')!r})"
+        )
     homes = manifest.get("homes")
     if not isinstance(homes, dict):
         raise CheckpointError("fleet manifest has no homes mapping")
@@ -191,7 +193,7 @@ def restore_fleet(
                 f"{home_id!r}: {snapshot_path}"
             )
         backends[home_id] = backend = as_backend(detectors[home_id])
-        recorded_backend = entry.get("backend", "dice")
+        recorded_backend = entry.get("backend")
         if recorded_backend != backend.name:
             raise CheckpointError(
                 f"snapshot for home {home_id!r} was written by backend "
@@ -200,20 +202,19 @@ def restore_fleet(
             )
         expected = backend.fingerprint()
         recorded = entry.get("model")
-        if recorded is not None and recorded != expected:
+        if recorded != expected:
             raise CheckpointError(
                 f"snapshot for home {home_id!r} was taken against a different "
                 f"model: {recorded} != {expected}"
             )
         recorded_hash = entry.get("context")
-        if recorded_hash is not None:
-            refit_hashes[home_id] = refit = backend.context_hash()
-            if refit != recorded_hash:
-                raise CheckpointError(
-                    f"shared context mismatch for home {home_id!r}: the "
-                    f"checkpoint recorded base context {recorded_hash}, but "
-                    f"the supplied detector re-fit to {refit}"
-                )
+        refit_hashes[home_id] = refit = backend.context_hash()
+        if refit != recorded_hash:
+            raise CheckpointError(
+                f"shared context mismatch for home {home_id!r}: the "
+                f"checkpoint recorded base context {recorded_hash}, but "
+                f"the supplied detector re-fit to {refit}"
+            )
     gateway = FleetGateway(
         num_shards=num_shards or manifest["num_shards"],
         metrics=metrics,
@@ -232,7 +233,7 @@ def restore_fleet(
             # Intern before replaying the snapshot: refresh-history re-apply
             # must fork off the shared copy exactly as the original run did.
             gateway.context_store.intern(
-                backend.dice_detector, key=refit_hashes.get(home_id)
+                backend.dice_detector, key=refit_hashes[home_id]
             )
         runtime = restore_runtime(backend, state, **runtime_kwargs)
         gateway.add_runtime(home_id, runtime)

@@ -29,14 +29,11 @@ from ..core import DetectorBackend, DiceDetector, as_backend
 
 _log = telemetry.get_logger("repro.streaming.checkpoint")
 
-#: Version 2 added the ``telemetry`` counters payload; version 3 added the
-#: context-refresh state (``runtime["refresh"]``); version 4 added the
-#: alert-provenance recorder state (``runtime["provenance"]``); version 5
-#: added the ``backend`` name stamp (absent means ``dice``).  Older
-#: snapshots load fine — counters restart from zero, refresh state resets
-#: to idle, the provenance ring starts empty with ``seq`` 0.
+#: Version 5 carries the ``telemetry`` counters, the context-refresh and
+#: alert-provenance state and the ``backend`` name stamp.  Only the current
+#: version restores: older snapshots were never written outside tests.
 CHECKPOINT_VERSION = 5
-COMPATIBLE_VERSIONS = frozenset({1, 2, 3, 4, 5})
+COMPATIBLE_VERSIONS = frozenset({CHECKPOINT_VERSION})
 
 
 class CheckpointError(ValueError):
@@ -96,7 +93,7 @@ def restore_runtime(
             f"{sorted(COMPATIBLE_VERSIONS)}"
         )
     backend = as_backend(detector)
-    recorded = state.get("backend", "dice")
+    recorded = state.get("backend")
     if recorded != backend.name:
         raise CheckpointError(
             f"checkpoint was written by backend {recorded!r} but restore "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
 from ..core import (
@@ -29,7 +29,11 @@ from ..core import (
     TransitionCase,
     as_backend,
 )
-from ..core.detector import CACHE_HITS_TOTAL, CACHE_MISSES_TOTAL
+from ..core.detector import (
+    CACHE_HITS_TOTAL,
+    CACHE_MISSES_TOTAL,
+    STAGE_SECONDS_HISTOGRAM,
+)
 from ..model import Event, Trace
 from .guard import DropLog, IngestGuard
 from .refresh import ContextRefresher, NullRefresher, RefreshPolicy
@@ -76,6 +80,24 @@ class Alert:
     cases: Tuple[TransitionCase, ...] = ()
     devices: FrozenSet[str] = frozenset()
     converged: bool = True
+
+    @classmethod
+    def from_backend(cls, alert) -> "Alert":
+        """Re-wrap a :class:`~repro.core.BackendAlert`, field for field."""
+        return cls(
+            alert.kind, alert.time, alert.check, alert.cases, alert.devices, alert.converged
+        )
+
+
+def canonical_alerts(alerts: Sequence[Alert]) -> str:
+    """Byte rendering of an alert sequence, independent of the process
+    hash seed (``devices`` is a frozenset, so ``repr(Alert)`` is not)."""
+    return repr(
+        [
+            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
+            for a in alerts
+        ]
+    )
 
 
 class OnlineDice:
@@ -125,6 +147,15 @@ class OnlineDice:
         )
         self._cache_misses_counter = self.metrics.counter(
             CACHE_MISSES_TOTAL, "Correlation-memo misses"
+        )
+        stage_hist = self.metrics.histogram(
+            STAGE_SECONDS_HISTOGRAM,
+            "Wall-clock seconds per streamed window, by real-time stage",
+            labelnames=("stage",),
+        )
+        self._stage_obs = tuple(
+            stage_hist.labels(stage=stage)
+            for stage in ("correlation", "transition", "identification")
         )
         self._latency_obs = self.metrics.histogram(
             DETECTION_LATENCY_SECONDS,
@@ -197,14 +228,7 @@ class OnlineDice:
         )
         if tail_alert is None:
             return fresh
-        alert = Alert(
-            tail_alert.kind,
-            tail_alert.time,
-            check=tail_alert.check,
-            cases=tail_alert.cases,
-            devices=tail_alert.devices,
-            converged=tail_alert.converged,
-        )
+        alert = Alert.from_backend(tail_alert)
         self.alerts.append(alert)
         prov = self.provenance
         if prov.enabled:
@@ -240,8 +264,17 @@ class OnlineDice:
 
     def _handle_window(self, snapshot: WindowSnapshot) -> List[Alert]:
         hits0, misses0 = self.backend.cache_counters()
+        timings = self.backend.timings
+        corr0 = timings.correlation_s
+        trans0 = timings.transition_s
+        ident0 = timings.identification_s
         with self.tracer.trace("window"):
             fresh = self._handle_window_impl(snapshot)
+            # This window's share of the backend's stage ledger.
+            corr_obs, trans_obs, ident_obs = self._stage_obs
+            corr_obs.observe(timings.correlation_s - corr0)
+            trans_obs.observe(timings.transition_s - trans0)
+            ident_obs.observe(timings.identification_s - ident0)
         self._windows_counter.inc()
         # Attribute only this window's memo activity, so a detector shared
         # with a batch ``process`` call is never double-counted.
@@ -255,17 +288,7 @@ class OnlineDice:
 
     def _handle_window_impl(self, snapshot: WindowSnapshot) -> List[Alert]:
         outcome = self.backend.observe_window(snapshot, self._current_qbits())
-        fresh = [
-            Alert(
-                b.kind,
-                b.time,
-                check=b.check,
-                cases=b.cases,
-                devices=b.devices,
-                converged=b.converged,
-            )
-            for b in outcome.alerts
-        ]
+        fresh = [Alert.from_backend(b) for b in outcome.alerts]
         if fresh:
             latency = max(0.0, self._detected_ts - snapshot.end)
             for _ in fresh:
@@ -324,11 +347,8 @@ class OnlineDice:
     # ------------------------------------------------------------------ #
 
     def state_dict(self) -> dict:
-        """JSON-serializable detector-side streaming state.
-
-        The backend's transient keys are merged in flat, so DICE-backed
-        snapshots keep the exact pre-backend layout (checkpoint v1-v4
-        compatibility)."""
+        """JSON-serializable detector-side streaming state (the backend's
+        transient keys are merged in flat)."""
         state = {"windower": self.windower.state_dict()}
         state.update(self.backend.checkpoint_state())
         state["provenance"] = self.provenance.state_dict()
@@ -337,8 +357,7 @@ class OnlineDice:
     def load_state(self, state: dict) -> None:
         self.windower.load_state(state["windower"])
         self.backend.load_state(state)
-        # Pre-provenance checkpoints (v1-v3) simply lack the key.
-        self.provenance.load_state(state.get("provenance"))
+        self.provenance.load_state(state["provenance"])
 
 
 class HardenedOnlineDice(OnlineDice):
@@ -722,8 +741,7 @@ class HardenedOnlineDice(OnlineDice):
         self.reorder.log = self.drops
         self.reorder.load_state(state["reorder"])
         self.supervisor.load_state(state["supervisor"])
-        # Pre-refresh checkpoints (v1/v2) simply lack the key.
-        self.refresher.load_state(state.get("refresh"))
+        self.refresher.load_state(state["refresh"])
 
     def checkpoint(self) -> dict:
         """Versioned, JSON-serializable snapshot of the full online state."""

@@ -37,23 +37,6 @@ def backend_name(request):
     return request.param
 
 
-def canon(alerts) -> str:
-    """Byte rendering of an alert sequence, independent of hash seeds."""
-    return repr(
-        [
-            (
-                a.kind,
-                a.time,
-                a.check,
-                a.cases,
-                tuple(sorted(a.devices)),
-                a.converged,
-            )
-            for a in alerts
-        ]
-    )
-
-
 def build_deployment(
     rng,
     *,

@@ -4,7 +4,8 @@ Five properties, each an oracle the DICE pipeline already passes:
 
 1. **streaming == batch** — replaying a live segment event-at-a-time
    through :class:`OnlineDice` raises exactly the alerts the backend's
-   batch driver derives from the same segment in one pass;
+   batch replay derives from the same segment in one pass (for DICE, also
+   exactly the alerts of the reference loop in ``tests/reference_dice.py``);
 2. **checkpoint-cut determinism** — cut the stream at a seeded-random
    event, serialize, restore onto a freshly fitted backend, replay the
    tail: the alert sequence and the *end-of-stream checkpoint bytes*
@@ -36,15 +37,16 @@ from repro.streaming import (
     HardenedOnlineDice,
     OnlineDice,
     SupervisorPolicy,
+    canonical_alerts,
     restore_runtime,
 )
+from tests import reference_dice
 from tests.backends.conftest import (
     ALERTING_BACKENDS,
     HOUR,
     PERTURBATIONS,
     SEED,
     build_deployment,
-    canon,
     fit_backend,
     perturbed_live,
 )
@@ -68,9 +70,15 @@ class TestStreamingBatchParity:
             )
             streamed = fit_backend(backend_name, registry, trace, split)
             batched = fit_backend(backend_name, registry, trace, split)
-            s = canon(OnlineDice(streamed, start=live.start).replay(live))
-            b = canon(batched.process_batch(live))
+            s = canonical_alerts(OnlineDice(streamed, start=live.start).replay(live))
+            b = canonical_alerts(batched.process_batch(live))
             assert s == b, f"{backend_name} diverged on trial {trial}"
+            if backend_name == "dice":
+                # Both arms above share the backend template; the
+                # independent reference loop is DICE's second opinion.
+                reference = reference_dice.process(batched.dice_detector, live)
+                r = canonical_alerts(reference_dice.report_alerts(reference))
+                assert r == b, f"dice diverged from the reference on trial {trial}"
             total += s.count("'detection'") + s.count("'identification'")
         if backend_name in ALERTING_BACKENDS:
             # The corpus must exercise the pipeline, not compare silence.
@@ -130,7 +138,7 @@ class TestCheckpointCut:
         tail = resumed.ingest_many(events[cut:])
         tail += resumed.finish_stream(trace.end)
 
-        assert canon(head + tail) == canon(expected), f"cut at {cut}"
+        assert canonical_alerts(head + tail) == canonical_alerts(expected), f"cut at {cut}"
         assert json.dumps(resumed.checkpoint(), sort_keys=True) == json.dumps(
             full.checkpoint(), sort_keys=True
         )

@@ -22,7 +22,8 @@ from repro.core.backend import (
 )
 from repro.core.identification import ProbableFaultSet
 from repro.model import DeviceRegistry, SensorType, binary_sensor
-from tests.backends.conftest import SEED, build_deployment, canon, perturbed_live
+from repro.streaming import canonical_alerts
+from tests.backends.conftest import SEED, build_deployment, perturbed_live
 
 
 @pytest.fixture
@@ -241,7 +242,7 @@ class TestCheckpoint:
             if i < cut:
                 continue
             tail.extend(resumed.observe_window(snap(i, mask, acts)).alerts)
-        assert canon(head + tail) == canon(expected)
+        assert canonical_alerts(head + tail) == canonical_alerts(expected)
         # And the end states themselves agree byte for byte.
         assert json.dumps(resumed.checkpoint_state(), sort_keys=True) == (
             json.dumps(full.checkpoint_state(), sort_keys=True)

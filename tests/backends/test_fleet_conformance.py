@@ -16,8 +16,7 @@ from repro.fleet import (
     replay_fleet,
     restore_fleet,
 )
-from repro.streaming import HardenedOnlineDice
-from tests.backends.conftest import canon
+from repro.streaming import HardenedOnlineDice, canonical_alerts
 
 FLEET_HOMES = 3
 FLEET_SEED = 11
@@ -51,7 +50,7 @@ def standalone_alerts(homes, backend_name):
         )
         alerts = runtime.ingest_many(list(home.live))
         alerts += runtime.finish_stream(home.trace.end)
-        expected[home.home_id] = canon(alerts)
+        expected[home.home_id] = canonical_alerts(alerts)
     return expected
 
 
@@ -71,7 +70,7 @@ def test_fleet_matches_standalone(
     gateway = _build_gateway(num_shards, homes, backend_name)
     replay_fleet(gateway, homes)
     for home in homes:
-        assert canon(gateway.alerts_of(home.home_id)) == (
+        assert canonical_alerts(gateway.alerts_of(home.home_id)) == (
             standalone_alerts[home.home_id]
         ), f"{home.home_id} diverged at {num_shards} shards"
     assert gateway.unrouted == 0
@@ -110,6 +109,6 @@ def test_checkpoint_manifest_round_trips_backend(
     for home in homes:
         head = first.alerts_of(home.home_id)
         tail = restored.alerts_of(home.home_id)
-        assert canon(head + tail) == standalone_alerts[home.home_id], (
+        assert canonical_alerts(head + tail) == standalone_alerts[home.home_id], (
             f"{home.home_id} diverged across checkpoint/restore"
         )

@@ -2,8 +2,10 @@
 
 The batched ``check_many`` matrix pass and the LRU memo are pure
 optimisations: for any segment — clean or fault-injected — the
-:class:`SegmentReport` (detections, identifications, window count, cache
-counters) must be identical to the seed per-window scalar path.
+:class:`SegmentReport` of ``DiceDetector.process`` (detections,
+identifications, window count, cache counters) must be identical to the
+per-window scalar path of the independent reference loop in
+``tests/reference_dice.py``.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import pytest
 
 from repro.core import DiceConfig, DiceDetector
 from repro.faults import FaultInjector, FaultType
+from tests import reference_dice
 
 HOUR = 3600.0
 
@@ -61,9 +64,9 @@ class TestSegmentParity:
     def test_batch_matches_scalar(self, detector, house):
         for label, segment in _segments(house):
             detector._correlation_checker.clear_cache()
-            scalar = detector.process(segment, batch=False)
+            scalar = reference_dice.process(detector, segment, batch=False)
             detector._correlation_checker.clear_cache()
-            batch = detector.process(segment, batch=True)
+            batch = detector.process(segment)
             _assert_reports_equal(scalar, batch)
             # The memo is transparent to the counters too: both paths see
             # the same hit/miss stream for the same cold start.
@@ -77,15 +80,15 @@ class TestSegmentParity:
     def test_cache_disabled_matches_cached(self, detector, uncached_detector, house):
         for _label, segment in _segments(house):
             detector._correlation_checker.clear_cache()
-            cached = detector.process(segment, batch=True)
-            uncached = uncached_detector.process(segment, batch=True)
+            cached = detector.process(segment)
+            uncached = uncached_detector.process(segment)
             _assert_reports_equal(cached, uncached)
 
     def test_warm_cache_matches_cold(self, detector, house):
         _, segment = _segments(house)[1]
         detector._correlation_checker.clear_cache()
-        cold = detector.process(segment, batch=True)
-        warm = detector.process(segment, batch=True)
+        cold = detector.process(segment)
+        warm = detector.process(segment)
         _assert_reports_equal(cold, warm)
         assert warm.timings.correlation_cache_misses == 0
         assert warm.timings.correlation_cache_hits == warm.timings.windows
@@ -95,8 +98,11 @@ class TestSegmentParity:
         fields sneaking into the equality contract."""
         _, segment = _segments(house)[2]
         detector._correlation_checker.clear_cache()
-        scalar = detector.process(segment, batch=False)
+        scalar = reference_dice.process(detector, segment, batch=False)
         detector._correlation_checker.clear_cache()
-        batch = detector.process(segment, batch=True)
+        batch = detector.process(segment)
+        assert batch.detections and batch.identifications
         for a, b in zip(scalar.detections, batch.detections):
+            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        for a, b in zip(scalar.identifications, batch.identifications):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)

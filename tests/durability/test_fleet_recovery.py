@@ -114,6 +114,51 @@ class TestRecoverGuards:
         assert sidecar["schema"] == DURABILITY_SCHEMA
         assert set(sidecar["journal_epochs"]) == {d.home_id for d in deployments}
 
+    def test_only_current_checkpoint_versions_restore(self, fleet, tmp_path):
+        # One checkpoint version per layer: a v4 runtime snapshot, a /2
+        # fleet manifest and a /1 durability sidecar are each refused with
+        # a CheckpointError naming the version found.
+        import json
+
+        from repro.faults.crash import _fresh_fleet
+        from repro.fleet.checkpoint import MANIFEST_NAME
+        from repro.streaming import restore_runtime
+
+        deployments, merged, _ = fleet
+
+        def fitted():
+            return {dep.home_id: dep.fit_detector() for dep in deployments}
+
+        journals, ckpt = tmp_path / "journals", tmp_path / "ckpt"
+        durable = DurableFleetGateway(
+            _fresh_fleet(deployments, fitted(), 2), journals
+        )
+        durable.dispatch(merged[: len(merged) // 4])
+        durable.save_checkpoint(ckpt)
+        durable.close()
+
+        def stamped(name, key, value):
+            doc = json.loads((ckpt / name).read_text())
+            return dict(doc, **{key: value})
+
+        manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+        home_id = deployments[0].home_id
+        snapshot = stamped(manifest["homes"][home_id]["file"], "version", 4)
+        with pytest.raises(CheckpointError, match="version 4"):
+            restore_runtime(fitted()[home_id], snapshot)
+
+        (ckpt / MANIFEST_NAME).write_text(
+            json.dumps(dict(manifest, schema="dice-fleet-manifest/2"))
+        )
+        with pytest.raises(CheckpointError, match="dice-fleet-manifest/2"):
+            DurableFleetGateway.recover(fitted(), journals, checkpoint_dir=ckpt)
+        (ckpt / MANIFEST_NAME).write_text(json.dumps(manifest))
+
+        sidecar = stamped(DURABILITY_SIDECAR, "schema", "dice-fleet-durability/1")
+        (ckpt / DURABILITY_SIDECAR).write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointError, match="dice-fleet-durability/1"):
+            DurableFleetGateway.recover(fitted(), journals, checkpoint_dir=ckpt)
+
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
         from repro.faults.crash import _fresh_fleet
 

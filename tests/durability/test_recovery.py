@@ -16,13 +16,13 @@ from repro.faults import (
     FaultType,
     baseline_standalone,
     build_chaos_deployment,
-    canonical_alerts,
     run_chaos_standalone,
     run_standalone_trial,
     standalone_oracle,
     tear_final_record,
 )
 from repro.faults.crash import ALERTS_TOTAL, LATENESS_SECONDS, POLICY, _counter_total
+from repro.streaming import canonical_alerts
 
 
 @pytest.fixture(scope="module")

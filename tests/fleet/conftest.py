@@ -19,16 +19,6 @@ FLEET_HOURS = 30.0
 FLEET_TRAIN_HOURS = 24.0
 
 
-def canon(alerts) -> str:
-    """A byte-comparable rendering of an alert sequence."""
-    return repr(
-        [
-            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-            for a in alerts
-        ]
-    )
-
-
 @pytest.fixture(scope="session")
 def fleet_homes():
     return build_fleet_homes(

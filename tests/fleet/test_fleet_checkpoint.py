@@ -15,6 +15,7 @@ import pytest
 
 from repro.fleet import (
     MANIFEST_NAME,
+    MANIFEST_SCHEMA,
     FleetGateway,
     build_fleet_homes,
     load_fleet_manifest,
@@ -22,8 +23,7 @@ from repro.fleet import (
     replay_fleet,
     restore_fleet,
 )
-from repro.streaming import CheckpointError
-from tests.fleet.conftest import canon
+from repro.streaming import CheckpointError, canonical_alerts
 
 
 def _fresh_gateway(homes, detectors, num_shards=2):
@@ -37,7 +37,7 @@ def _fresh_gateway(homes, detectors, num_shards=2):
 def uninterrupted(fleet_homes, fleet_detectors):
     gateway = _fresh_gateway(fleet_homes, fleet_detectors)
     replay_fleet(gateway, fleet_homes)
-    return {h.home_id: canon(gateway.alerts_of(h.home_id)) for h in fleet_homes}
+    return {h.home_id: canonical_alerts(gateway.alerts_of(h.home_id)) for h in fleet_homes}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -60,7 +60,7 @@ def test_random_cut_round_trip(
     for home in fleet_homes:
         head = first.alerts_of(home.home_id)
         tail = resumed.alerts_of(home.home_id)
-        assert canon(head + tail) == uninterrupted[home.home_id], (
+        assert canonical_alerts(head + tail) == uninterrupted[home.home_id], (
             f"{home.home_id} diverged after cut at tick {cut}"
         )
 
@@ -176,7 +176,7 @@ def test_manifest_validation_rejects_garbage(tmp_path):
     path.write_text(
         json.dumps(
             {
-                "schema": "dice-fleet-manifest/1",
+                "schema": MANIFEST_SCHEMA,
                 "num_shards": 2,
                 "homes": {"h": {"file": "../outside.json"}},
             }

@@ -8,8 +8,7 @@ times, checks, cases, devices, convergence flags, in the same order.
 import pytest
 
 from repro.fleet import FleetGateway, replay_fleet
-from repro.streaming import HardenedOnlineDice
-from tests.fleet.conftest import canon
+from repro.streaming import HardenedOnlineDice, canonical_alerts
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +21,7 @@ def standalone_alerts(fleet_homes, fleet_detectors):
         )
         alerts = runtime.ingest_many(list(home.live))
         alerts += runtime.finish_stream(home.trace.end)
-        expected[home.home_id] = canon(alerts)
+        expected[home.home_id] = canonical_alerts(alerts)
     return expected
 
 
@@ -37,7 +36,7 @@ def test_fleet_matches_standalone(
         )
     replay_fleet(gateway, fleet_homes)
     for home in fleet_homes:
-        assert canon(gateway.alerts_of(home.home_id)) == (
+        assert canonical_alerts(gateway.alerts_of(home.home_id)) == (
             standalone_alerts[home.home_id]
         ), f"{home.home_id} diverged at {num_shards} shards"
     assert gateway.unrouted == 0
@@ -56,7 +55,7 @@ def test_tick_width_is_invisible_too(
         )
     replay_fleet(gateway, fleet_homes, tick_seconds=tick_seconds)
     for home in fleet_homes:
-        assert canon(gateway.alerts_of(home.home_id)) == (
+        assert canonical_alerts(gateway.alerts_of(home.home_id)) == (
             standalone_alerts[home.home_id]
         )
 

@@ -34,8 +34,7 @@ from repro.fleet import (
     restore_fleet,
 )
 from repro.fleet.checkpoint import MANIFEST_NAME
-from repro.streaming import CheckpointError, RefreshPolicy
-from tests.fleet.conftest import canon
+from repro.streaming import CheckpointError, RefreshPolicy, canonical_alerts
 
 SEED = 20260808
 
@@ -171,7 +170,7 @@ def _run_fleet(homes, *, share, shards, tick, refresh_home, refresh_policy):
             home.home_id, detectors[home.home_id], start=home.split, **kwargs
         )
     replay_fleet(gateway, homes, tick_seconds=tick)
-    canons = {h.home_id: canon(gateway.alerts_of(h.home_id)) for h in homes}
+    canons = {h.home_id: canonical_alerts(gateway.alerts_of(h.home_id)) for h in homes}
     counters = {
         h.home_id: _comparable_counters(gateway.runtime_of(h.home_id).metrics)
         for h in homes

@@ -19,7 +19,6 @@ from repro.faults.crash import (
     LATENESS_SECONDS,
     POLICY,
     build_chaos_deployment,
-    canonical_alerts,
 )
 from repro.fleet import FleetGateway
 from repro.service import (
@@ -35,7 +34,7 @@ from repro.service.server import (
     QUEUE_DEPTH_GAUGE,
     SHED_TOTAL,
 )
-from repro.streaming import HardenedOnlineDice
+from repro.streaming import HardenedOnlineDice, canonical_alerts
 from repro.streaming.guard import OVERLOAD
 from repro.telemetry.prometheus import validate_prometheus_text
 

@@ -19,6 +19,7 @@ from repro.streaming import (
     CheckpointError,
     HardenedOnlineDice,
     SupervisorPolicy,
+    canonical_alerts,
     load_checkpoint,
     restore_from_file,
     restore_runtime,
@@ -43,17 +44,6 @@ def _runtime(detector, start):
         start=start,
         lateness_seconds=120.0,
         policy=SupervisorPolicy(silence_seconds=400.0, quarantine_seconds=800.0),
-    )
-
-
-def _canon(alerts):
-    """Byte rendering of an alert sequence that is independent of the
-    process hash seed (frozenset iteration order is not)."""
-    return repr(
-        [
-            (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-            for a in alerts
-        ]
     )
 
 
@@ -90,7 +80,7 @@ class TestRoundTripDeterminism:
         tail += resumed.finish_stream(end)
 
         assert head + tail == expected
-        assert _canon(head + tail) == _canon(expected)
+        assert canonical_alerts(head + tail) == canonical_alerts(expected)
         assert resumed.drops.summary() == uninterrupted.drops.summary()
 
     @pytest.mark.parametrize("seed", [11, 12, 13])
@@ -116,7 +106,7 @@ class TestRoundTripDeterminism:
         tail = resumed.ingest_many(events[cut:])
         tail += resumed.finish_stream(end)
 
-        assert _canon(head + tail) == _canon(expected), f"cut at {cut}"
+        assert canonical_alerts(head + tail) == canonical_alerts(expected), f"cut at {cut}"
         assert resumed.drops.summary() == uninterrupted.drops.summary()
 
     def test_counter_totals_survive_restart(self, registry, cyclic_trace):
@@ -198,7 +188,7 @@ class TestRoundTripDeterminism:
         tail = resumed.ingest_many(faulty[cut:])
         tail += resumed.finish_stream(segment.end)
         assert head + tail == expected
-        assert _canon(head + tail) == _canon(expected)
+        assert canonical_alerts(head + tail) == canonical_alerts(expected)
 
 
 class TestCheckpointFile:
@@ -264,19 +254,6 @@ class TestCheckpointFile:
         ] == [canonical_record_bytes(r) for r in runtime.provenance.records()]
         assert resumed.provenance.seq == runtime.provenance.seq
         assert resumed.provenance.chain == runtime.provenance.chain
-
-    def test_pre_provenance_checkpoint_restores_empty_recorder(
-        self, detector, live_events, tmp_path
-    ):
-        # A v1-v3 checkpoint has no ``provenance`` section; restoring one
-        # must reset the recorder, not crash.
-        runtime = _runtime(detector, 3.0 * HOUR)
-        runtime.ingest_many(_adversarial(live_events, seed=5))
-        state = runtime.checkpoint()
-        del state["runtime"]["provenance"]
-        resumed = restore_runtime(detector, state)
-        assert resumed.provenance.records() == []
-        assert resumed.provenance.seq == 0
 
     def test_truncated_file_raises_checkpoint_error(
         self, detector, live_events, tmp_path

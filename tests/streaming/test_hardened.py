@@ -25,6 +25,7 @@ from repro.streaming import (
     HardenedOnlineDice,
     OnlineDice,
     SupervisorPolicy,
+    canonical_alerts,
 )
 
 
@@ -63,14 +64,6 @@ def trio_detector(trio_registry):
 
 
 FAST_POLICY = SupervisorPolicy(silence_seconds=35.0, quarantine_seconds=60.0)
-
-
-def _canon(alerts):
-    """Alert-sequence rendering independent of the process hash seed."""
-    return [
-        (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-        for a in alerts
-    ]
 
 
 class TestIngestGuarding:
@@ -122,7 +115,7 @@ class TestReorderIntegration:
         )
         fresh = hardened.ingest_many(shuffled)
         fresh += hardened.finish_stream(live.end)
-        assert _canon(fresh) == _canon(expected)
+        assert canonical_alerts(fresh) == canonical_alerts(expected)
         assert hardened.drops.total == 0
 
     def test_duplicate_delivery_is_transparent(self, trio_detector, trio_registry):
@@ -139,7 +132,7 @@ class TestReorderIntegration:
         )
         fresh = hardened.ingest_many(doubled)
         fresh += hardened.finish_stream(live.end)
-        assert _canon(fresh) == _canon(expected)
+        assert canonical_alerts(fresh) == canonical_alerts(expected)
         assert hardened.drops.count(DUPLICATE) == len(list(live))
 
 

@@ -22,6 +22,7 @@ from repro.streaming import (
     ContextRefresher,
     HardenedOnlineDice,
     RefreshPolicy,
+    canonical_alerts,
     restore_runtime,
 )
 from tests.conftest import HOUR, make_cyclic_trace
@@ -162,14 +163,6 @@ class TestGracefulDegradation:
 
 
 class TestCheckpointWithRefresh:
-    def _canon(self, alerts):
-        return repr(
-            [
-                (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-                for a in alerts
-            ]
-        )
-
     @pytest.mark.parametrize("fraction", [0.5, 0.8])
     def test_resume_after_refresh_reproduces_alerts(
         self, registry, drifted_trace, fraction
@@ -195,7 +188,7 @@ class TestCheckpointWithRefresh:
         tail = resumed.ingest_many(events[cut:])
         tail += resumed.finish_stream(end)
 
-        assert self._canon(head + tail) == self._canon(expected)
+        assert canonical_alerts(head + tail) == canonical_alerts(expected)
         assert (
             resumed.refresher.stats()["applied"]
             == uninterrupted.refresher.stats()["applied"]
@@ -215,14 +208,3 @@ class TestCheckpointWithRefresh:
 
         with pytest.raises(CheckpointError):
             restore_runtime(runtime.detector, snapshot, refresh=ENABLED)
-
-    def test_pre_refresh_checkpoint_still_loads(self, registry, drifted_trace):
-        # A v2-era snapshot has no "refresh" key: load_state(None) resets.
-        start = 3.0 * HOUR
-        runtime = _runtime(_fit(registry, drifted_trace), RefreshPolicy())
-        runtime.ingest_many(list(drifted_trace.slice(start, 4.0 * HOUR)))
-        snapshot = json.loads(json.dumps(runtime.checkpoint()))
-        snapshot["runtime"].pop("refresh", None)
-        snapshot.pop("refresh", None)
-        resumed = restore_runtime(_fit(registry, drifted_trace), snapshot)
-        assert resumed.refresher.stats()["applied"] == 0

@@ -15,6 +15,7 @@ from repro.streaming import (
     DeviceSupervisor,
     HardenedOnlineDice,
     SupervisorPolicy,
+    canonical_alerts,
     restore_runtime,
 )
 from repro.streaming.checkpoint import CHECKPOINT_VERSION
@@ -47,13 +48,6 @@ def _adversarial(events, seed=7):
     return injector.apply(events)
 
 
-def _canon(alerts):
-    return [
-        (a.kind, a.time, a.check, a.cases, tuple(sorted(a.devices)), a.converged)
-        for a in alerts
-    ]
-
-
 class TestParity:
     def test_telemetry_changes_no_output(self, registry, cyclic_trace):
         """The detection outcome must be identical with metrics on and off —
@@ -66,7 +60,7 @@ class TestParity:
         alerts_on = on.ingest_many(events) + on.finish_stream(end)
         alerts_off = off.ingest_many(events) + off.finish_stream(end)
 
-        assert _canon(alerts_on) == _canon(alerts_off)
+        assert canonical_alerts(alerts_on) == canonical_alerts(alerts_off)
         assert on.drops.summary() == off.drops.summary()
         # And the off side recorded nothing at all.
         assert off.metrics.snapshot()["metrics"] == {}
@@ -185,19 +179,6 @@ class TestCheckpointedCounters:
         resumed = restore_runtime(fresh, state)
         restored = resumed.metrics.snapshot()["metrics"]["dice_windows_total"]
         assert restored["series"] == windows["series"]
-
-    def test_v1_snapshot_still_loads(self, registry, cyclic_trace):
-        runtime = self._replayed_runtime(registry, cyclic_trace)
-        state = json.loads(json.dumps(runtime.checkpoint()))
-        state["version"] = 1
-        del state["telemetry"]
-
-        fresh = _fit(registry, cyclic_trace, telemetry.MetricsRegistry())
-        resumed = restore_runtime(fresh, state)
-        # Runtime state restored; counters simply restart from zero.
-        assert resumed.state_dict() == runtime.state_dict()
-        snap = resumed.metrics.snapshot()["metrics"]
-        assert snap["dice_windows_total"]["series"][0]["value"] == 0
 
     def test_disabled_metrics_checkpoint_has_no_telemetry(
         self, registry, cyclic_trace

@@ -120,7 +120,7 @@ class TestRecorder:
         rec = ProvenanceRecorder()
         rec.record(_alert(), windows=[])
         rec.chain = [{"window": 1}]
-        rec.load_state(None)  # a pre-provenance (v1-v3) checkpoint
+        rec.load_state(None)  # a checkpoint taken with provenance off
         assert rec.seq == 0
         assert rec.records() == []
         assert rec.chain == []

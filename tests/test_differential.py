@@ -1,19 +1,20 @@
-"""Randomized differential tests: two implementations, one truth.
+"""Randomized differential tests: independent implementations, one truth.
 
-Two oracle pairs are cross-checked on fixed-seed random inputs
-(stdlib ``random`` only, so the suite stays deterministic across
-platforms and numpy versions):
+Two oracle families are cross-checked on generated inputs:
 
-* **streaming vs batch** — :class:`~repro.streaming.OnlineDice` replaying
-  a live segment event-at-a-time must raise exactly the alerts that
-  :meth:`DiceDetector.process` derives from the same segment in one
-  vectorised pass: same times, checks, transition cases, device sets and
-  convergence flags, in the same order.  Fifty random deployments
-  (1-5 binary sensors, optional numeric sensor and actuator, varying
-  phase structure and window alignment) are each run through one of five
-  live-segment perturbations (identity / drop a device / drop random
-  events / duplicate events / corrupt values) so the comparison covers
-  healthy and faulty streams alike.
+* **streaming vs batch vs reference** — :class:`~repro.streaming.OnlineDice`
+  replaying a live segment event-at-a-time must raise exactly the alerts
+  that :meth:`DiceDetector.process` derives from the same segment in one
+  vectorised pass, and both must match the independent reference loop in
+  ``tests/reference_dice.py``: same times, checks, transition cases,
+  device sets and convergence flags, in the same order.  A hypothesis
+  property searches random deployments (1-5 binary sensors, optional
+  numeric sensor and actuator, varying phase structure and window
+  alignment), each run through one of five live-segment perturbations
+  (identity / drop a device / drop random events / duplicate events /
+  corrupt values) so the comparison covers healthy and faulty streams
+  alike.  The search is derandomized, so every run checks the same
+  examples.
 
 * **packed vs scalar Hamming** — :meth:`PackedBitsets.distances_many`
   (both its XOR-popcount and GEMM bit-plane kernels) must agree with the
@@ -24,6 +25,8 @@ platforms and numpy versions):
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import DiceDetector
 from repro.core.bitset import _GEMM_MIN_ROWS, PackedBitsets
@@ -36,7 +39,8 @@ from repro.model import (
     binary_sensor,
     numeric_sensor,
 )
-from repro.streaming import OnlineDice
+from repro.streaming import OnlineDice, canonical_alerts
+from tests import reference_dice
 
 HOUR = 3600.0
 SEED = 20260806
@@ -103,20 +107,11 @@ def _perturb(rng, live, kind):
     return Trace.from_events(live.registry, events, start=live.start, end=live.end)
 
 
-def _alert_views(online, batch):
-    """Project streaming alerts and a batch report onto comparable tuples."""
-    s_det = [(a.time, a.check, a.cases) for a in online.alerts if a.kind == "detection"]
-    b_det = [(r.time, r.check, r.cases) for r in batch.detections]
-    s_idn = [
-        (a.time, tuple(sorted(a.devices)), a.converged, a.check)
-        for a in online.alerts
-        if a.kind == "identification"
+def _canonical(online, *reports):
+    """The streaming run's alerts, then each report's, in canonical form."""
+    return [canonical_alerts(online.alerts)] + [
+        canonical_alerts(reference_dice.report_alerts(report)) for report in reports
     ]
-    b_idn = [
-        (r.time, tuple(sorted(r.devices)), r.converged, r.triggered_by)
-        for r in batch.identifications
-    ]
-    return s_det, b_det, s_idn, b_idn
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +120,58 @@ def _alert_views(online, batch):
 
 
 def test_streaming_matches_batch_on_random_traces():
-    # One sequential RNG across all trials: each trial's deployment depends
-    # on the seed alone, and any failure message names the trial to replay.
-    rng = random.Random(SEED)
-    total_alerts = 0
-    for trial in range(TRIALS):
-        # Trial 0 pins the degenerate single-sensor deployment.
-        k = 1 if trial == 0 else rng.randrange(1, 6)
-        registry = _build_registry(
-            k,
-            trial != 0 and rng.random() < 0.5,
-            trial != 0 and rng.random() < 0.5,
-        )
-        hours = rng.choice([4.0, 6.0, 8.0])
-        phase = rng.choice([300.0, 600.0, 900.0])
-        trace = _build_trace(rng, registry, hours, phase)
+    alert_counts = []
+
+    @settings(
+        max_examples=TRIALS, derandomize=True, deadline=None, database=None
+    )
+    @given(
+        k=st.integers(1, 5),
+        with_numeric=st.booleans(),
+        with_actuator=st.booleans(),
+        hours=st.sampled_from([4.0, 6.0, 8.0]),
+        phase=st.sampled_from([300.0, 600.0, 900.0]),
         # A fractional split leaves the live segment unaligned with the
         # window grid, exercising the trailing-partial-window semantics.
-        split = hours * HOUR * rng.uniform(0.6, 0.75)
+        split_frac=st.floats(0.6, 0.75),
+        kind=st.sampled_from(PERTURBATIONS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # The degenerate single-sensor deployment, always checked.
+    @example(
+        k=1,
+        with_numeric=False,
+        with_actuator=False,
+        hours=4.0,
+        phase=300.0,
+        split_frac=0.7,
+        kind="identity",
+        seed=SEED,
+    )
+    def streaming_equals_batch_equals_reference(
+        k, with_numeric, with_actuator, hours, phase, split_frac, kind, seed
+    ):
+        # The trace's events and the perturbation draw from one RNG seeded
+        # by the example, so a failure's printed example replays exactly.
+        rng = random.Random(seed)
+        registry = _build_registry(k, with_numeric, with_actuator)
+        trace = _build_trace(rng, registry, hours, phase)
+        split = hours * HOUR * split_frac
         detector = DiceDetector(registry).fit(trace.slice(0.0, split))
-        live = _perturb(
-            rng,
-            trace.slice(split, hours * HOUR),
-            PERTURBATIONS[trial % len(PERTURBATIONS)],
-        )
+        live = _perturb(rng, trace.slice(split, hours * HOUR), kind)
 
+        reference = reference_dice.process(detector, live)
         batch = detector.process(live)
         online = OnlineDice(detector, start=live.start)
         online.replay(live)
 
-        s_det, b_det, s_idn, b_idn = _alert_views(online, batch)
-        assert s_det == b_det, f"trial {trial}: detection streams diverged"
-        assert s_idn == b_idn, f"trial {trial}: identification streams diverged"
-        total_alerts += len(s_det) + len(s_idn)
-    # The corpus must actually exercise the pipeline, not compare silence.
-    assert total_alerts > 50
+        streamed, batched, referenced = _canonical(online, batch, reference)
+        assert streamed == batched == referenced, "alert streams diverged"
+        alert_counts.append(len(online.alerts))
+
+    streaming_equals_batch_equals_reference()
+    # The search must actually exercise the pipeline, not compare silence.
+    assert sum(alert_counts) > 50
 
 
 def test_streaming_matches_batch_across_silent_gaps():
@@ -180,13 +192,13 @@ def test_streaming_matches_batch_across_silent_gaps():
         end=live.end,
     )
 
+    reference = reference_dice.process(detector, gapped)
     batch = detector.process(gapped)
     online = OnlineDice(detector, start=gapped.start)
     online.replay(gapped)
 
-    s_det, b_det, s_idn, b_idn = _alert_views(online, batch)
-    assert s_det == b_det
-    assert s_idn == b_idn
+    streamed, batched, referenced = _canonical(online, batch, reference)
+    assert streamed == batched == referenced
 
 
 # ---------------------------------------------------------------------------
