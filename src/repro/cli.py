@@ -861,7 +861,7 @@ def _cmd_stream(args) -> int:
     drops = runtime.drops.summary()
     print(f"dropped events: {runtime.drops.total}"
           + (f" ({', '.join(f'{k}={v}' for k, v in drops.items())})" if drops else ""))
-    quarantined = sorted(runtime.supervisor.quarantined)
+    quarantined = runtime.quarantined_devices
     if quarantined:
         print(f"quarantined devices: {', '.join(quarantined)}")
     if durable is not None:

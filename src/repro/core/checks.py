@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -109,9 +109,13 @@ class CorrelationChecker:
     Live traffic repeats a small working set of state-set masks heavily
     (state sets "retain their value for several rounds", §5.2), so results
     are memoised in an LRU mask → :class:`CorrelationResult` cache: a hit
-    skips the group scan entirely.  The cache is keyed on the fitted
-    registry — it drops itself whenever :attr:`GroupRegistry.version`
-    changes (i.e. on refit), so stale results can never be served.
+    skips the group scan entirely.  Quarantine-masked checks share the same
+    LRU under the key ``(qbits, mask & ~qbits)`` — a masked result depends
+    only on the groups, the bound, the visible bits of the mask and the
+    quarantine bits, so the quarantined steady state is memoised too.  The
+    cache is keyed on the fitted registry — it drops itself whenever
+    :attr:`GroupRegistry.version` changes (i.e. on refit or context
+    refresh), so stale results can never be served.
 
     :meth:`check_many` is the batch path: all misses of a whole segment are
     resolved in one ``(W, G)`` XOR + popcount matrix pass instead of one
@@ -135,7 +139,11 @@ class CorrelationChecker:
         self._cache_size = (
             config.correlation_cache_size if cache_size is None else cache_size
         )
-        self._cache: "OrderedDict[int, CorrelationResult]" = OrderedDict()
+        # Keys: the mask for unmasked checks, (qbits, visible mask) for
+        # quarantine-masked ones.
+        self._cache: "OrderedDict[Union[int, Tuple[int, int]], CorrelationResult]" = (
+            OrderedDict()
+        )
         self._cache_version = groups.version
         self.cache_hits = 0
         self.cache_misses = 0
@@ -157,16 +165,16 @@ class CorrelationChecker:
         self._cache.clear()
         self._cache_version = self.groups.version
 
-    def _cache_lookup(self, mask: int) -> Optional[CorrelationResult]:
+    def _cache_lookup(self, key) -> Optional[CorrelationResult]:
         if self.groups.version != self._cache_version:
             self.clear_cache()
-        result = self._cache.get(mask)
+        result = self._cache.get(key)
         if result is not None:
-            self._cache.move_to_end(mask)
+            self._cache.move_to_end(key)
         return result
 
-    def _cache_store(self, mask: int, result: CorrelationResult) -> None:
-        self._cache[mask] = result
+    def _cache_store(self, key, result: CorrelationResult) -> None:
+        self._cache[key] = result
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
             self.cache_evictions += 1
@@ -185,17 +193,37 @@ class CorrelationChecker:
                 probable.append((group_id, distance))
         return CorrelationResult(mask, main, tuple(probable))
 
-    def check(self, mask: int) -> CorrelationResult:
-        if not self._cache_size:
-            self.cache_misses += 1
-            return self.scan(mask)
-        cached = self._cache_lookup(mask)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
+    def scan_masked(self, mask: int, qbits: int) -> CorrelationResult:
+        """Uncached quarantine-aware scan: Hamming distances over the bits
+        outside *qbits* only, so a dead sensor's permanently-zero bits
+        cannot turn every window into a correlation violation.
+
+        Differs from :meth:`scan` at distance 0: the first exact match is
+        the main group and further exact matches are dropped, not listed
+        as probable groups.  The result's mask is ``mask & ~qbits``.
+        """
+        visible = ~qbits
+        dists = self.groups.masked_distances(mask, visible)
+        zero = np.nonzero(dists == 0)[0]
+        main = int(zero[0]) if len(zero) else None
+        near = np.nonzero((dists > 0) & (dists <= self.max_distance))[0]
+        near = near[np.lexsort((near, dists[near]))]
+        probable = tuple(zip(near.tolist(), dists[near].tolist()))
+        return CorrelationResult(mask & visible, main, probable)
+
+    def check(self, mask: int, qbits: int = 0) -> CorrelationResult:
+        """Memoised correlation check of *mask*, ignoring the state-set
+        bits in *qbits* (those of quarantined sensors; 0 for none)."""
+        key = (qbits, mask & ~qbits) if qbits else mask
+        if self._cache_size:
+            cached = self._cache_lookup(key)
+            if cached is not None:
+                self.cache_hits += 1
+                return cached
         self.cache_misses += 1
-        result = self.scan(mask)
-        self._cache_store(mask, result)
+        result = self.scan_masked(mask, qbits) if qbits else self.scan(mask)
+        if self._cache_size:
+            self._cache_store(key, result)
         return result
 
     # -- batch path ------------------------------------------------------ #

@@ -31,6 +31,7 @@ from ..core import DiceDetector
 from ..model import Event
 from ..streaming import (
     Alert,
+    CheckpointError,
     HardenedOnlineDice,
     checkpoint_state,
     load_checkpoint,
@@ -274,7 +275,9 @@ class DurableOnlineDice:
         """Checkpoint + journal-tail restart after a crash.
 
         Loads the checkpoint when *checkpoint_path* names an existing
-        file (otherwise starts a fresh runtime at *start*), replays every
+        file (otherwise starts a fresh runtime at *start*); a checkpoint
+        without the ``durability`` section :meth:`save_checkpoint` writes
+        raises :class:`CheckpointError`.  Then replays every
         journal record after the checkpoint's epoch, re-offers the
         replayed alerts to the outbox (idempotent: already-journaled ids
         dedup; unacked ones redeliver — at-least-once), and rotates to a
@@ -289,11 +292,20 @@ class DurableOnlineDice:
         runtime: Optional[HardenedOnlineDice] = None
         if checkpoint_path is not None and os.path.exists(os.fspath(checkpoint_path)):
             state = load_checkpoint(checkpoint_path)
+            durability = state.get("durability")
+            if durability is None:
+                # A plain runtime snapshot names no journal epoch: replaying
+                # the whole journal over it would double-apply events and
+                # renumber alerts from 0, colliding with outbox ids.
+                raise CheckpointError(
+                    f"{os.fspath(checkpoint_path)}: checkpoint has no "
+                    "'durability' section (not written by "
+                    "DurableOnlineDice.save_checkpoint)"
+                )
             runtime = restore_runtime(detector, state, **runtime_kwargs)
-            durability = state.get("durability", {})
-            after_epoch = durability.get("journal_epoch", -1)
-            alert_seq = durability.get("alert_seq", 0)
-            home_id = durability.get("home_id", home_id)
+            after_epoch = durability["journal_epoch"]
+            alert_seq = durability["alert_seq"]
+            home_id = durability["home_id"]
         if runtime is None:
             runtime = HardenedOnlineDice(detector, start=start, **runtime_kwargs)
         records, torn = replay_records(

@@ -459,7 +459,7 @@ class FleetGateway:
                 "backend": runtime.backend.name,
                 "alerts": len(runtime.alerts),
                 "drops": runtime.drops.total,
-                "quarantined": sorted(runtime.supervisor.quarantined),
+                "quarantined": runtime.quarantined_devices,
             }
         return {
             "num_shards": self.num_shards,

@@ -411,7 +411,7 @@ class HardenedOnlineDice(OnlineDice):
         # context: a batched tick advances every home's supervisor before
         # any window drains, so the live set at drain time can already
         # contain the future — records must see the staging-time set.
-        self._pinned_quarantined: Optional[List[str]] = None
+        self._pinned_quarantined: Optional[Tuple[str, ...]] = None
         registry = backend.registry
         self.drops = DropLog(max_samples=max_drop_samples, metrics=self.metrics)
         self.guard = IngestGuard(registry, self.drops, start=start)
@@ -421,6 +421,11 @@ class HardenedOnlineDice(OnlineDice):
         self.supervisor = DeviceSupervisor(
             registry, policy, start=start, metrics=self.metrics
         )
+        # (bits, sorted ids) of the quarantined set, derived once per change
+        # of the supervisor's ``quarantine_version``; a fresh supervisor
+        # quarantines nothing.
+        self._quarantine_view: Tuple[int, Tuple[str, ...]] = (0, ())
+        self._quarantine_seen = self.supervisor.quarantine_version
         # Context refresh mutates the DICE model in place; for backends
         # without one, the null refresher keeps the interface (stats,
         # checkpoint keys) with refresh permanently off.
@@ -480,7 +485,7 @@ class HardenedOnlineDice(OnlineDice):
         return {
             "devices": states,
             "supervisor_states": self.supervisor.state_counts(),
-            "quarantined": sorted(self.supervisor.quarantined),
+            "quarantined": self.quarantined_devices,
             "watermark": None if watermark == float("-inf") else watermark,
             "watermark_lag_seconds": self.reorder.watermark_lag,
             "reorder_pending": self.reorder.pending,
@@ -531,9 +536,15 @@ class HardenedOnlineDice(OnlineDice):
             return
         self._stage_released(self.reorder.push(event), staged)
 
-    def _quarantined_now(self) -> List[str]:
-        """The supervisor's quarantine set as of this staging moment."""
-        return sorted(self.supervisor.quarantined)
+    def _quarantined_now(self) -> Tuple[str, ...]:
+        """The supervisor's quarantine set as of this staging moment,
+        sorted; a tuple, so staged items never alias a changing list."""
+        return self._quarantine_state()[1]
+
+    @property
+    def quarantined_devices(self) -> List[str]:
+        """Sorted ids of the currently quarantined devices."""
+        return list(self._quarantined_now())
 
     def _stage_released(
         self, events: List[Event], staged: List[tuple]
@@ -581,8 +592,8 @@ class HardenedOnlineDice(OnlineDice):
 
     @staticmethod
     def staged_window_masks(staged: List[tuple]) -> List[int]:
-        """Masks of staged windows that will take the memoised check path
-        (no quarantine bits pinned) — what a batched tick pre-warms."""
+        """Masks of staged windows checked unmasked (no quarantine bits
+        pinned) — what a batched tick pre-warms."""
         return [
             item[2].mask
             for item in staged
@@ -675,18 +686,30 @@ class HardenedOnlineDice(OnlineDice):
         self._note_alerts(fresh)
         return fresh
 
+    def _quarantine_state(self) -> Tuple[int, Tuple[str, ...]]:
+        """(state-set bits, sorted ids) of the quarantined devices,
+        rebuilt only when the supervisor's set has changed since the last
+        call — most windows share the set of the window before."""
+        supervisor = self.supervisor
+        version = supervisor.quarantine_version
+        if version != self._quarantine_seen:
+            quarantined = supervisor.quarantined
+            bits = 0
+            layout = self.windower.layout
+            registry = self.backend.registry
+            for device_id in quarantined:
+                device = registry.get(device_id)
+                if device is None or device.is_actuator:
+                    continue
+                for bit in layout.bits_of_device(device_id):
+                    bits |= 1 << bit
+            self._quarantine_view = (bits, tuple(sorted(quarantined)))
+            self._quarantine_seen = version
+        return self._quarantine_view
+
     def _quarantine_bits(self) -> int:
         """State-set bits owned by currently quarantined sensors."""
-        bits = 0
-        layout = self.windower.layout
-        registry = self.backend.registry
-        for device_id in self.supervisor.quarantined:
-            device = registry.get(device_id)
-            if device is None or device.is_actuator:
-                continue
-            for bit in layout.bits_of_device(device_id):
-                bits |= 1 << bit
-        return bits
+        return self._quarantine_state()[0]
 
     def _current_qbits(self) -> int:
         """Quarantine bits the backend's checks must ignore: the bits
@@ -702,8 +725,8 @@ class HardenedOnlineDice(OnlineDice):
     def _provenance_context(self) -> dict:
         context = super()._provenance_context()
         pinned = self._pinned_quarantined
-        context["quarantined"] = (
-            self._quarantined_now() if pinned is None else list(pinned)
+        context["quarantined"] = list(
+            self._quarantined_now() if pinned is None else pinned
         )
         context["refresh_applied"] = self.refresher.applied_total
         return context

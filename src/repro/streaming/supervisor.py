@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from .. import telemetry
 from ..model import DeviceRegistry, Event
@@ -111,6 +111,12 @@ class DeviceSupervisor:
         for device in registry:
             if device.is_sensor or policy.watch_actuators:
                 self._health[device.device_id] = DeviceHealth(last_seen=self.start)
+        #: Devices currently QUARANTINED, kept in step with ``_health`` by
+        #: :meth:`_transition` and :meth:`load_state` (never by a scan).
+        self._quarantined: Set[str] = set()
+        #: Bumped on every change of the quarantined set, so readers can
+        #: derive state from it (masks, sorted names) once per change.
+        self.quarantine_version = 0
         self._metrics = telemetry.NULL_REGISTRY if metrics is None else metrics
         self._transitions_counter = self._metrics.counter(
             TRANSITIONS_TOTAL,
@@ -143,10 +149,7 @@ class DeviceSupervisor:
 
     @property
     def quarantined(self) -> FrozenSet[str]:
-        return frozenset(
-            d for d, h in self._health.items()
-            if h.status is DeviceStatus.QUARANTINED
-        )
+        return frozenset(self._quarantined)
 
     def state_counts(self) -> Dict[str, int]:
         """Supervised devices per state (every state present, maybe 0)."""
@@ -242,6 +245,12 @@ class DeviceSupervisor:
     ) -> HealthTransition:
         edge = HealthTransition(device_id, health.status, status, time, reason)
         health.status = status
+        if status is DeviceStatus.QUARANTINED:
+            self._quarantined.add(device_id)
+            self.quarantine_version += 1
+        elif edge.previous is DeviceStatus.QUARANTINED:
+            self._quarantined.discard(device_id)
+            self.quarantine_version += 1
         self._transitions_counter.labels(to=status.value, reason=reason).inc()
         level = "warning" if status is DeviceStatus.QUARANTINED else "info"
         _log.log(
@@ -289,4 +298,9 @@ class DeviceSupervisor:
             health.errors = int(data["errors"])
             health.silences = int(data["silences"])
             health.recoveries = int(data["recoveries"])
+        self._quarantined = {
+            d for d, h in self._health.items()
+            if h.status is DeviceStatus.QUARANTINED
+        }
+        self.quarantine_version += 1
         self._next_check = self._earliest_deadline()

@@ -23,7 +23,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional
 
 from .registry import NULL_REGISTRY, MetricsRegistry
 
@@ -85,6 +85,9 @@ class Tracer:
         self._hist = self.metrics.histogram(
             SPAN_HISTOGRAM, "Wall-clock seconds per traced span", labelnames=("span",)
         )
+        # Histogram child per span name, bound on first use: a handful of
+        # names, finished thousands of times per second.
+        self._children: Dict[str, object] = {}
         self._local = threading.local()
 
     def __getstate__(self) -> dict:
@@ -134,7 +137,10 @@ class Tracer:
         if stack:
             stack.pop()
         self.finished.append(span)
-        self._hist.labels(span=span.name).observe(span.duration)
+        child = self._children.get(span.name)
+        if child is None:
+            child = self._children[span.name] = self._hist.labels(span=span.name)
+        child.observe(span.duration)
 
 
 #: Shared disabled tracer (the span analogue of ``NULL_REGISTRY``).

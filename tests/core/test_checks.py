@@ -1,5 +1,7 @@
 """Tests for the correlation and transition checks (§3.3)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BitLayout,
@@ -10,6 +12,7 @@ from repro.core import (
     TransitionChecker,
     TransitionModel,
 )
+from repro.model import DeviceRegistry, SensorType, binary_sensor, numeric_sensor
 
 
 def groups_with(registry, masks):
@@ -138,6 +141,140 @@ class TestCorrelationCache:
         info = checker.cache_info()
         assert info["size"] == 0
         assert info["hits"] == 1 and info["misses"] == 1
+
+
+# A layout straddling the 64-bit word boundary: 66 binary sensors, then one
+# numeric sensor's three bits (69 bits, two words).
+WIDE_REGISTRY = DeviceRegistry(
+    [binary_sensor(f"m{i}", SensorType.MOTION, "r") for i in range(66)]
+    + [numeric_sensor("t", SensorType.TEMPERATURE, "r")]
+)
+#: Bits the generated masks draw from: a dense low cluster (so masked
+#: distances collide, including several exact matches) plus bits on both
+#: sides of the word boundary.
+_BITS = list(range(8)) + [62, 63, 64, 65, 66, 67, 68]
+
+
+def _masks(max_bits=5):
+    return st.sets(st.sampled_from(_BITS), max_size=max_bits).map(
+        lambda bits: sum(1 << b for b in bits)
+    )
+
+
+def masked_oracle(group_masks, mask, qbits, max_distance):
+    """Pure-Python quarantine-aware scan: distances over the visible bits;
+    the first exact match is the main group, further exact matches are
+    dropped, near matches are listed by (distance, group id)."""
+    visible = ~qbits
+    dists = [((mask ^ g) & visible).bit_count() for g in group_masks]
+    zero = [i for i, d in enumerate(dists) if d == 0]
+    near = sorted(
+        (d, i) for i, d in enumerate(dists) if 0 < d <= max_distance
+    )
+    return (
+        mask & visible,
+        zero[0] if zero else None,
+        tuple((i, d) for d, i in near),
+    )
+
+
+class TestMaskedCorrelationMemo:
+    """Quarantine-masked checks share the memo under ``(qbits, mask & ~qbits)``."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        group_masks=st.lists(_masks(), min_size=0, max_size=12, unique=True),
+        probes=st.lists(st.tuples(_masks(), _masks(3)), min_size=1, max_size=12),
+    )
+    def test_memoised_result_equals_uncached_scan(self, group_masks, probes):
+        groups = groups_with(WIDE_REGISTRY, group_masks)
+        memo = CorrelationChecker(groups, DiceConfig())
+        fresh = CorrelationChecker(groups, DiceConfig(), cache_size=0)
+        # Each probe twice: the second lookup is served from the memo.
+        for mask, qbits in probes + probes:
+            got = memo.check(mask, qbits)
+            want = fresh.scan_masked(mask, qbits) if qbits else fresh.scan(mask)
+            assert got.mask == want.mask
+            assert got.main_group == want.main_group
+            assert got.probable_groups == want.probable_groups
+            if qbits:
+                assert (got.mask, got.main_group, got.probable_groups) == (
+                    masked_oracle(group_masks, mask, qbits, memo.max_distance)
+                )
+                assert got.main_group is None or type(got.main_group) is int
+                assert all(
+                    type(g) is int and type(d) is int
+                    for g, d in got.probable_groups
+                )
+        info = memo.cache_info()
+        assert info["hits"] + info["misses"] == 2 * len(probes)
+        keys = {(q, m & ~q) if q else m for m, q in probes}
+        assert info["misses"] == len(keys)
+
+    def test_masked_lookups_share_entries_by_visible_mask(self, registry):
+        groups = groups_with(registry, [0b001, 0b011, 0b111])
+        checker = CorrelationChecker(groups, DiceConfig())
+        first = checker.check(0b011, qbits=0b010)
+        # Differs only in a quarantined bit: the same key, a memo hit.
+        second = checker.check(0b001, qbits=0b010)
+        assert first is second
+        assert first.mask == 0b001
+        assert checker.cache_info()["hits"] == 1
+        assert checker.cache_info()["misses"] == 1
+        # Same mask, unmasked: a different entry.
+        assert checker.check(0b001) is not first
+        assert checker.cache_info()["misses"] == 2
+
+    def test_masked_distance_zero_differs_from_scan(self, registry):
+        # Masking bit 1 makes groups 0b001 and 0b011 both exact matches:
+        # the masked path keeps the first as main and drops the second.
+        groups = groups_with(registry, [0b001, 0b011])
+        checker = CorrelationChecker(groups, DiceConfig())
+        result = checker.check(0b001, qbits=0b010)
+        assert result.main_group == 0
+        assert all(g != 1 for g, _ in result.probable_groups)
+        assert (1, 1) in checker.check(0b001).probable_groups
+
+    def test_registry_version_bump_drops_masked_entries(self, registry):
+        groups = groups_with(registry, [0b1100])
+        checker = CorrelationChecker(groups, DiceConfig())
+        assert checker.check(0b0101, qbits=0b0100).is_violation
+        assert checker.cache_info()["size"] == 1
+        groups.add(0b0001)  # what a refit or context refresh does
+        result = checker.check(0b0101, qbits=0b0100)
+        assert not result.is_violation
+        assert groups.mask_of(result.main_group) == 0b0001
+        assert checker.cache_info()["misses"] == 2
+        assert checker.cache_info()["size"] == 1
+
+    def test_occupancy_never_exceeds_capacity(self, registry):
+        groups = groups_with(registry, [0b0001, 0b0110, 0b1111])
+        checker = CorrelationChecker(groups, DiceConfig(), cache_size=3)
+        for mask in range(16):
+            checker.check(mask)
+            for qbits in (0b0001, 0b0010, 0b1000):
+                checker.check(mask, qbits)
+                assert checker.cache_info()["size"] <= 3
+        info = checker.cache_info()
+        assert info["size"] == 3
+        assert info["evictions"] == info["misses"] - 3
+
+    def test_cache_size_zero_scans_every_masked_check(self, registry, monkeypatch):
+        groups = groups_with(registry, [0b01, 0b11])
+        checker = CorrelationChecker(groups, DiceConfig(), cache_size=0)
+        scans = []
+        original = CorrelationChecker.scan_masked
+
+        def counting(self, mask, qbits):
+            scans.append((mask, qbits))
+            return original(self, mask, qbits)
+
+        monkeypatch.setattr(CorrelationChecker, "scan_masked", counting)
+        for _ in range(3):
+            checker.check(0b01, qbits=0b10)
+        assert len(scans) == 3
+        info = checker.cache_info()
+        assert (info["hits"], info["misses"], info["size"]) == (0, 3, 0)
 
 
 class TestTransitionChecker:

@@ -159,6 +159,40 @@ class TestRecoverGuards:
         with pytest.raises(CheckpointError, match="dice-fleet-durability/1"):
             DurableFleetGateway.recover(fitted(), journals, checkpoint_dir=ckpt)
 
+    def test_recover_refuses_checkpoint_without_durability_section(
+        self, fleet, tmp_path
+    ):
+        # A plain runtime snapshot names no journal epoch and no alert
+        # sequence: recovering from it would replay the whole journal on
+        # top of the restored state and number alerts from 0 again.
+        from repro.durability import DurableOnlineDice
+        from repro.streaming import save_checkpoint
+
+        deployments, _, _ = fleet
+        dep = deployments[0]
+        journals = tmp_path / "journals"
+        durable = DurableOnlineDice(
+            dep.fit_detector(), journals, home_id=dep.home_id, start=dep.split
+        )
+        durable.ingest_many(dep.events[:300])
+        assert durable.alert_seq > 0
+        plain, full = tmp_path / "plain.json", tmp_path / "durable.json"
+        save_checkpoint(durable.runtime, plain)
+        durable.save_checkpoint(full)
+        durable.close()
+
+        with pytest.raises(CheckpointError, match="'durability' section"):
+            DurableOnlineDice.recover(
+                dep.fit_detector(), journals, checkpoint_path=plain,
+                home_id=dep.home_id, start=dep.split,
+            )
+        recovered, _ = DurableOnlineDice.recover(
+            dep.fit_detector(), journals, checkpoint_path=full,
+            home_id=dep.home_id, start=dep.split,
+        )
+        assert recovered.alert_seq == durable.alert_seq
+        recovered.close()
+
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
         from repro.faults.crash import _fresh_fleet
 

@@ -1,21 +1,28 @@
 """Tests for the device supervisor's quarantine state machine."""
 
+import functools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import DiceDetector
 from repro.model import (
     DeviceRegistry,
     Event,
     SensorType,
     actuator,
     binary_sensor,
+    numeric_sensor,
 )
 from repro.streaming import (
     DeviceStatus,
     DeviceSupervisor,
+    HardenedOnlineDice,
     SupervisorPolicy,
 )
+from tests.conftest import HOUR, make_cyclic_trace
 
 
 @pytest.fixture
@@ -194,3 +201,102 @@ class TestSilenceFastPath:
         clone.load_state(state)
         clone.check_silence(95.0)
         assert clone.health_of("door").status is DeviceStatus.DEGRADED
+
+
+# ---------------------------------------------------------------------------
+# Incremental quarantine set: a property search against full scans
+# ---------------------------------------------------------------------------
+
+DEVICES = ("motion_kitchen", "motion_bedroom", "temp_kitchen", "hue_kitchen", "ghost")
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted_detector():
+    """The shared conftest deployment (two binary sensors, one numeric,
+    one actuator), fitted once for the whole property search."""
+    registry = DeviceRegistry(
+        [
+            binary_sensor("motion_kitchen", SensorType.MOTION, "kitchen"),
+            binary_sensor("motion_bedroom", SensorType.MOTION, "bedroom"),
+            numeric_sensor("temp_kitchen", SensorType.TEMPERATURE, "kitchen"),
+            actuator("hue_kitchen", SensorType.BULB, "kitchen"),
+        ]
+    )
+    trace = make_cyclic_trace(registry).slice(0.0, 3.0 * HOUR)
+    return DiceDetector(registry).fit(trace)
+
+
+def _scanned_quarantine(supervisor):
+    """Oracle: the quarantined set by a full scan of device health."""
+    return frozenset(
+        device_id
+        for device_id, health in supervisor._health.items()
+        if health.status is DeviceStatus.QUARANTINED
+    )
+
+
+def _scanned_bits(runtime):
+    """Oracle: the quarantine mask rebuilt from scratch (the loop the
+    runtime used to run every window)."""
+    bits = 0
+    layout = runtime.windower.layout
+    registry = runtime.backend.registry
+    for device_id in _scanned_quarantine(runtime.supervisor):
+        device = registry.get(device_id)
+        if device is None or device.is_actuator:
+            continue
+        for bit in layout.bits_of_device(device_id):
+            bits |= 1 << bit
+    return bits
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.sampled_from(DEVICES), st.floats(0.0, 200.0)),
+        st.tuples(st.just("error"), st.sampled_from(DEVICES), st.just(0.0)),
+        st.tuples(st.just("silence"), st.just(""), st.floats(0.0, 200.0)),
+        st.tuples(st.just("reload"), st.just(""), st.just(0.0)),
+    ),
+    max_size=40,
+)
+
+
+class TestIncrementalQuarantineSet:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        steps=_STEPS,
+        watch_actuators=st.booleans(),
+        error_threshold=st.integers(1, 3),
+    )
+    def test_matches_full_scan_after_every_step(
+        self, steps, watch_actuators, error_threshold
+    ):
+        policy = SupervisorPolicy(
+            silence_seconds=60.0,
+            quarantine_seconds=120.0,
+            error_threshold=error_threshold,
+            watch_actuators=watch_actuators,
+        )
+        runtime = HardenedOnlineDice(_fitted_detector(), start=0.0, policy=policy)
+        sup = runtime.supervisor
+        now = 0.0
+        before, version = frozenset(), sup.quarantine_version
+        for op, device, dt in steps:
+            now += dt
+            if op == "observe":
+                sup.observe(Event(now, device, 1.0))
+            elif op == "error":
+                sup.record_error(device, now)
+            elif op == "silence":
+                sup.check_silence(now)
+            else:
+                sup.load_state(json.loads(json.dumps(sup.state_dict())))
+            expected = _scanned_quarantine(sup)
+            assert sup.quarantined == expected
+            if expected != before:
+                # Every change of the set moves the counter readers key on.
+                assert sup.quarantine_version > version
+            before, version = expected, sup.quarantine_version
+            assert runtime._quarantine_bits() == _scanned_bits(runtime)
+            assert runtime._quarantined_now() == tuple(sorted(expected))
+            assert runtime.quarantined_devices == sorted(expected)

@@ -58,12 +58,14 @@ class TestTiming:
     def test_durations_land_in_histogram(self):
         reg = MetricsRegistry()
         tracer = Tracer(reg)
-        with tracer.trace("stage"):
-            pass
-        with tracer.trace("stage"):
-            pass
+        for name in ("stage", "other", "stage"):
+            with tracer.trace(name):
+                pass
         rows = reg.snapshot()["metrics"][SPAN_HISTOGRAM]["series"]
-        assert [(r["labels"], r["count"]) for r in rows] == [({"span": "stage"}, 2)]
+        assert [(r["labels"], r["count"]) for r in rows] == [
+            ({"span": "other"}, 1),
+            ({"span": "stage"}, 2),
+        ]
 
     def test_ring_is_bounded(self):
         tracer = Tracer(MetricsRegistry(), keep=3)
