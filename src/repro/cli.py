@@ -78,6 +78,16 @@ def _worker_count(text: str) -> int:
     return value
 
 
+#: ``repro chaos --mode`` → the chaos-driver layers it runs, in order.
+_CHAOS_LAYERS = {
+    "standalone": ("standalone",),
+    "fleet": ("fleet",),
+    "service": ("service",),
+    "both": ("standalone", "fleet"),
+    "all": ("standalone", "fleet", "service"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     from .faults import models as fault_models
 
@@ -440,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--mode",
-        choices=["standalone", "fleet", "service", "both", "all"],
+        choices=list(_CHAOS_LAYERS),
         default="both",
         help="'both' = standalone+fleet (the in-process harnesses); "
         "'service' = network kill/fault trials against a live loopback "
@@ -1245,101 +1255,26 @@ def _cmd_chaos(args) -> int:
     import os
     import tempfile
 
-    from .faults.crash import run_chaos_fleet, run_chaos_standalone
+    from .faults.crash import run_chaos
     from .faults.models import FaultType
-
-    fault_class = FaultType(args.fault_class)
 
     def run(base: str) -> int:
         failed = 0
-        if args.mode in ("standalone", "both", "all"):
-            report = run_chaos_standalone(
-                os.path.join(base, "standalone"),
-                deployments=args.deployments,
-                kills_per_deployment=args.kills,
-                seed=args.seed,
+        for layer in _CHAOS_LAYERS[args.mode]:
+            standalone = layer == "standalone"
+            report = run_chaos(
+                layer,
+                os.path.join(base, layer),
                 fsync=args.fsync,
-                fault_class=fault_class,
-            )
-            summary = report.summary()
-            print(
-                f"standalone: {summary['trials']} trials "
-                f"({summary['torn_trials']} torn, "
-                f"{summary['checkpointed_trials']} checkpointed), "
-                f"{summary['delivered']} alerts delivered, "
-                f"{summary['dead_letters']} dead-lettered -> "
-                f"{'OK' if report.ok else 'FAIL'}"
-            )
-            for trial in report.trials:
-                if not trial.ok:
-                    failed += 1
-                    print(
-                        f"  FAIL standalone seed={trial.deploy_seed} "
-                        f"kill={trial.kill_index}/{trial.total_events} "
-                        f"torn={trial.torn} checkpointed={trial.checkpointed} "
-                        f"parity={trial.parity} counters={trial.counters_monotone} "
-                        f"delivery={trial.delivery_ok}"
-                    )
-        if args.mode in ("fleet", "both", "all"):
-            report = run_chaos_fleet(
-                os.path.join(base, "fleet"),
-                fleets=args.fleets,
-                kills_per_fleet=args.fleet_kills,
+                units=args.deployments if standalone else args.fleets,
+                kills=args.kills if standalone else args.fleet_kills,
                 num_homes=args.homes,
                 seed=args.seed,
-                fsync=args.fsync,
-                fault_class=fault_class,
+                fault_class=FaultType(args.fault_class),
             )
-            summary = report.summary()
-            print(
-                f"fleet: {summary['trials']} trials "
-                f"({summary['torn_trials']} torn, "
-                f"{summary['checkpointed_trials']} checkpointed), "
-                f"{summary['delivered']} alerts delivered, "
-                f"{summary['dead_letters']} dead-lettered -> "
-                f"{'OK' if report.ok else 'FAIL'}"
-            )
-            for trial in report.trials:
-                if not trial.ok:
-                    failed += 1
-                    print(
-                        f"  FAIL fleet seed={trial.deploy_seed} "
-                        f"kill={trial.kill_index}/{trial.total_events} "
-                        f"shards={trial.shards_before}->{trial.shards_after} "
-                        f"torn={trial.torn} checkpointed={trial.checkpointed} "
-                        f"parity={trial.parity} counters={trial.counters_monotone} "
-                        f"delivery={trial.delivery_ok}"
-                    )
-        if args.mode in ("service", "all"):
-            from .faults.net import run_chaos_service
-
-            report = run_chaos_service(
-                os.path.join(base, "service"),
-                fleets=args.fleets,
-                kills_per_fleet=args.fleet_kills,
-                num_homes=args.homes,
-                seed=args.seed,
-            )
-            summary = report.summary()
-            print(
-                f"service: {summary['trials']} trials "
-                f"({summary['torn_trials']} torn, "
-                f"{summary['checkpointed_trials']} checkpointed), "
-                f"{summary['delivered']} alerts delivered, "
-                f"{summary['dead_letters']} dead-lettered -> "
-                f"{'OK' if report.ok else 'FAIL'}"
-            )
-            for trial in report.trials:
-                if not trial.ok:
-                    failed += 1
-                    print(
-                        f"  FAIL service seed={trial.deploy_seed} "
-                        f"kill={trial.kill_index}/{trial.total_events} "
-                        f"shards={trial.shards_before}->{trial.shards_after} "
-                        f"torn={trial.torn} checkpointed={trial.checkpointed} "
-                        f"parity={trial.parity} counters={trial.counters_monotone} "
-                        f"delivery={trial.delivery_ok}"
-                    )
+            for line in report.lines():
+                print(line)
+            failed += sum(1 for trial in report.trials if not trial.ok)
         return 1 if failed else 0
 
     if args.workdir:

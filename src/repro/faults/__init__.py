@@ -1,4 +1,9 @@
-"""Fault injection (Ch. IV.2) and security attacks (Ch. VI)."""
+"""Fault injection (Ch. IV.2) and security attacks (Ch. VI).
+
+The chaos-trial driver lives in :mod:`repro.faults.crash` and is imported
+from there: it pulls in the durability, fleet and service layers, which
+nothing else here needs.
+"""
 
 from .attacks import (
     Attack,
@@ -16,30 +21,11 @@ from .drift import (
     inject_device_replacement,
     inject_seasonal_shift,
 )
-from .crash import (
-    ChaosDeployment,
-    ChaosReport,
-    CrashTrialResult,
-    baseline_fleet,
-    baseline_standalone,
-    build_chaos_deployment,
-    build_chaos_fleet,
-    canonical_provenance,
-    fleet_oracle,
-    run_chaos_fleet,
-    run_chaos_standalone,
-    run_fleet_trial,
-    run_standalone_trial,
-    standalone_oracle,
-    tear_final_record,
-)
 from .injector import FaultInjector, InjectionPolicy
 from .net import (
     NetFaultInjector,
     NetFaultSpec,
     SimulatedDisconnect,
-    run_chaos_service,
-    run_service_trial,
 )
 from .models import (
     ALL_FAULT_TYPES,
@@ -68,21 +54,6 @@ from .pipe import (
 from .segments import SegmentPair, make_segment_pairs, segment_starts, split_precompute
 
 __all__ = [
-    "ChaosDeployment",
-    "ChaosReport",
-    "CrashTrialResult",
-    "baseline_fleet",
-    "baseline_standalone",
-    "build_chaos_deployment",
-    "build_chaos_fleet",
-    "canonical_provenance",
-    "fleet_oracle",
-    "run_chaos_fleet",
-    "run_chaos_standalone",
-    "run_fleet_trial",
-    "run_standalone_trial",
-    "standalone_oracle",
-    "tear_final_record",
     "ALL_PIPE_FAULT_TYPES",
     "PipeFaultInjector",
     "PipeFaultSpec",
@@ -110,8 +81,6 @@ __all__ = [
     "NetFaultInjector",
     "NetFaultSpec",
     "SimulatedDisconnect",
-    "run_chaos_service",
-    "run_service_trial",
     "ALL_FAULT_TYPES",
     "NON_FAIL_STOP_TYPES",
     "FaultType",

@@ -1,21 +1,35 @@
-"""Crash-injection chaos harness for the durability layer.
+"""The chaos-trial driver: kill a durable gateway, recover, judge parity.
 
 The durability contract says: kill the gateway anywhere — between events,
 right after a checkpoint, or **mid-journal-write** (a torn tail) — and
 ``checkpoint + journal-tail replay`` reproduces the exact alert stream of
 an uninterrupted run, with every alert delivered to the sink at least
-once.  This module *tests that by doing it*: seeded synthetic
-deployments, randomized kill points, torn-tail simulation via literal
-byte truncation of the newest segment, recovery, and alert-stream
-comparison — for both the standalone :class:`DurableOnlineDice` and the
-sharded :class:`DurableFleetGateway` (including resharding on restore).
+once.  This module *tests that by doing it*, with one driver for every
+layer the contract covers:
+
+* ``standalone`` — one :class:`DurableOnlineDice` home;
+* ``fleet`` — a sharded :class:`DurableFleetGateway`, possibly resharded
+  on restore;
+* ``service`` — a live loopback :class:`~repro.service.IngestServer`
+  killed while retrying clients stream into it (optionally through the
+  :class:`~repro.faults.net.NetFaultInjector`), restarted on the same
+  port from recovery.
+
+A trial is keyed by *layer* × :class:`TrialPlan`.  :func:`sample_plans`
+is the one plan sampler (each layer draws from its own seeded stream);
+:func:`run_trial` runs the layer's two lives — before the kill, and the
+recovered one — and :func:`judge` builds the verdict the same way for
+every layer: per-home alert parity against the uninterrupted oracle,
+exact alert counters, byte-identical evidence archives, and at-least-once
+outbox delivery (the service layer adds exact ingest accounting).
+:func:`run_chaos` is the batch loop over both.
 
 Crash model
 -----------
 A *process* crash loses user-space buffers but not the OS page cache, so
-the harness closes file handles (flush-to-OS) before abandoning the
+the driver closes file handles (flush-to-OS) before abandoning the
 runtime object.  A *power* crash can also tear the last journal record
-mid-write; the harness simulates that by chopping bytes off the end of
+mid-write; the driver simulates that by chopping bytes off the end of
 the newest segment — strictly fewer than the final record's frame, so
 the CRC check must detect and discard it.  The write-ahead discipline
 makes the torn case recoverable: the journal append precedes processing,
@@ -26,9 +40,13 @@ resumed pipe would.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
+import threading
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,23 +64,40 @@ from ..durability import (
     event_to_record,
     list_segments,
 )
-from ..telemetry.provenance import canonical_record_bytes
 from ..fleet import FleetGateway
-from ..model import DeviceRegistry, Event, SensorType, Trace, actuator, binary_sensor, numeric_sensor
+from ..model import (
+    DeviceRegistry,
+    Event,
+    SensorType,
+    Trace,
+    actuator,
+    binary_sensor,
+    numeric_sensor,
+)
+from ..service import IngestServer, ServiceClient, ServiceConfig, ServiceThread
 from ..streaming import Alert, HardenedOnlineDice, SupervisorPolicy, canonical_alerts
+from ..streaming.guard import OVERLOAD
+from ..streaming.runtime import ALERTS_TOTAL
+from ..telemetry.provenance import canonical_record_bytes
 from .models import FaultType, InjectedFault, apply_fault
+from .net import NetFaultInjector
 from .pipe import PipeFaultInjector, PipeFaultSpec, PipeFaultType
 
 _log = telemetry.get_logger("repro.faults.crash")
 
 HOUR = 3600.0
 
-#: Runtime knobs every chaos run (baseline and crashed) shares — parity
+#: Runtime knobs every chaos run (oracle and crashed) shares — parity
 #: only means anything when both sides run the same configuration.
 LATENESS_SECONDS = 120.0
 POLICY = SupervisorPolicy(silence_seconds=400.0, quarantine_seconds=800.0)
 
-ALERTS_TOTAL = "dice_alerts_total"
+#: The chaos layers and the offset of each one's plan stream from the
+#: batch seed (the offsets every historical seed was drawn with).
+LAYERS = {"standalone": 0, "fleet": 7, "service": 13}
+
+#: The share of service trials that run their clients through network faults.
+SERVICE_FAULT_RATE = 0.7
 
 
 # --------------------------------------------------------------------- #
@@ -219,6 +254,49 @@ def build_chaos_deployment(
     )
 
 
+def build_chaos_fleet(
+    seed: int,
+    num_homes: int = 3,
+    fault_class: FaultType = FaultType.FAIL_STOP,
+) -> Tuple[List[ChaosDeployment], List[Tuple[str, Event]]]:
+    """*num_homes* chaos deployments plus their merged arrival stream."""
+    deployments = [
+        build_chaos_deployment(
+            seed * 100 + i, home_id=f"home-{i:04d}", fault_class=fault_class
+        )
+        for i in range(num_homes)
+    ]
+    merged: List[Tuple[float, int, str, Event]] = []
+    for order, dep in enumerate(deployments):
+        for event in dep.events:
+            merged.append((event.timestamp, order, dep.home_id, event))
+    merged.sort(key=lambda item: (item[0], item[1]))
+    return deployments, [(home_id, event) for _, _, home_id, event in merged]
+
+
+def _fresh_fleet(
+    deployments: Sequence[ChaosDeployment],
+    detectors: Dict[str, DiceDetector],
+    num_shards: int,
+) -> FleetGateway:
+    gateway = FleetGateway(num_shards, metrics=telemetry.NULL_REGISTRY)
+    for dep in deployments:
+        gateway.add_runtime(
+            dep.home_id,
+            HardenedOnlineDice(
+                detectors[dep.home_id],
+                start=dep.split,
+                lateness_seconds=LATENESS_SECONDS,
+                policy=POLICY,
+            ),
+        )
+    return gateway
+
+
+def _fit_all(deployments: Sequence[ChaosDeployment]) -> Dict[str, DiceDetector]:
+    return {dep.home_id: dep.fit_detector() for dep in deployments}
+
+
 # --------------------------------------------------------------------- #
 # Canonicalization & counters
 # --------------------------------------------------------------------- #
@@ -270,15 +348,90 @@ def tear_final_record(journal_dir: str, last_event: Event, rng) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Trial results
+# The oracle
 # --------------------------------------------------------------------- #
+
+
+@dataclass
+class ChaosOracle:
+    """The uninterrupted run a trial over *deployments* is judged against."""
+
+    deployments: Sequence[ChaosDeployment]
+    merged: Sequence[Tuple[str, Event]]  # the arrival stream every life replays
+    alerts: Dict[str, List[Alert]]
+    provenance: Dict[str, Dict[str, bytes]]  # per home, canonical form
+
+
+def chaos_oracle(
+    deployments: Sequence[ChaosDeployment],
+    merged: Optional[Sequence[Tuple[str, Event]]] = None,
+) -> ChaosOracle:
+    """Per-home alert streams and evidence archives of an uninterrupted
+    single-shard run over *merged* (default: the one home's own arrival
+    order — the standalone case, where a one-shard fleet raises exactly
+    the bare runtime's alerts and evidence)."""
+    if merged is None:
+        (dep,) = deployments
+        merged = [(dep.home_id, event) for event in dep.events]
+    detectors = {
+        dep.home_id: dep.fit_detector(metrics=telemetry.NULL_REGISTRY)
+        for dep in deployments
+    }
+    gateway = _fresh_fleet(deployments, detectors, num_shards=1)
+    gateway.dispatch(merged)
+    gateway.finish({dep.home_id: dep.end for dep in deployments})
+    return ChaosOracle(
+        deployments,
+        merged,
+        {dep.home_id: gateway.alerts_of(dep.home_id) for dep in deployments},
+        {
+            dep.home_id: canonical_provenance(
+                gateway.runtime_of(dep.home_id).provenance.records()
+            )
+            for dep in deployments
+        },
+    )
+
+
+# --------------------------------------------------------------------- #
+# Plans, results and the report
+# --------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class TrialPlan:
+    """Where one trial kills, checkpoints and tears, and what it varies.
+
+    ``kill`` and ``checkpoint`` count events applied (fleet-wide).
+    """
+
+    kill: int
+    checkpoint: Optional[int] = None
+    torn: bool = False  # tear the newest journal record after the kill
+    faults: bool = False  # service: network faults on every client
+    shards_before: int = 1
+    shards_after: int = 1
+    #: Seeds the tear's byte count (standalone, fleet) or the service
+    #: trial's clients, outbox jitter and tear.
+    seed: Optional[int] = 0
+    #: Service: the order homes are tried in for a journal to tear
+    #: (empty: home order).
+    tear_order: Tuple[int, ...] = ()
+
+    @property
+    def checkpointed(self) -> bool:
+        return self.checkpoint is not None and 0 < self.checkpoint < self.kill
+
+
+#: The verdict fields of a :class:`CrashTrialResult`, all of which must hold.
+VERDICTS = ("parity", "counters_monotone", "delivery_ok", "provenance_parity")
 
 
 @dataclass
 class CrashTrialResult:
     """One kill-and-recover cycle, judged against the uninterrupted run."""
 
-    mode: str  # "standalone" or "fleet"
+    mode: str  # the layer: "standalone", "fleet" or "service"
     deploy_seed: int
     kill_index: int
     total_events: int
@@ -293,23 +446,24 @@ class CrashTrialResult:
     shards_before: int = 1
     shards_after: int = 1
     #: Every provenance record in the recovered archive is byte-identical
-    #: to the uninterrupted run's evidence (True when no oracle was given).
+    #: to the uninterrupted run's evidence.
     provenance_parity: bool = True
 
     @property
+    def failures(self) -> List[str]:
+        """The names of the verdict fields that do not hold."""
+        return [name for name in VERDICTS if not getattr(self, name)]
+
+    @property
     def ok(self) -> bool:
-        return (
-            self.parity
-            and self.counters_monotone
-            and self.delivery_ok
-            and self.provenance_parity
-        )
+        return not self.failures
 
 
 @dataclass
 class ChaosReport:
-    """Aggregate verdict over a batch of trials."""
+    """Aggregate verdict over a batch of trials on one layer."""
 
+    layer: str = ""
     trials: List[CrashTrialResult] = field(default_factory=list)
 
     @property
@@ -334,490 +488,599 @@ class ChaosReport:
             "dead_letters": sum(t.dead_letters for t in self.trials),
         }
 
+    def lines(self) -> List[str]:
+        """The summary line, then one FAIL line per failed trial naming
+        every verdict field that does not hold."""
+        s = self.summary()
+        lines = [
+            f"{self.layer}: {s['trials']} trials ({s['torn_trials']} torn, "
+            f"{s['checkpointed_trials']} checkpointed), "
+            f"{s['delivered']} alerts delivered, "
+            f"{s['dead_letters']} dead-lettered -> {'OK' if self.ok else 'FAIL'}"
+        ]
+        for t in self.trials:
+            if t.failures:
+                lines.append(
+                    f"  FAIL {t.mode} seed={t.deploy_seed} "
+                    f"kill={t.kill_index}/{t.total_events} "
+                    f"shards={t.shards_before}->{t.shards_after} "
+                    f"torn={t.torn} checkpointed={t.checkpointed} "
+                    f"failed={','.join(t.failures)}"
+                )
+        return lines
+
 
 # --------------------------------------------------------------------- #
-# Standalone trials
+# The plan sampler
 # --------------------------------------------------------------------- #
 
 
-def standalone_oracle(
-    deployment: ChaosDeployment,
-) -> Tuple[List[Alert], Dict[str, bytes]]:
-    """The uninterrupted run's alert stream and evidence archive."""
-    runtime = HardenedOnlineDice(
-        deployment.fit_detector(metrics=telemetry.NULL_REGISTRY),
-        start=deployment.split,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
-    )
-    # Match the durable layer's home stamping so trace ids line up.
-    runtime.provenance.home_id = deployment.home_id
-    alerts = runtime.ingest_many(deployment.events)
-    alerts += runtime.finish_stream(deployment.end)
-    return alerts, canonical_provenance(runtime.provenance.records())
-
-
-def baseline_standalone(deployment: ChaosDeployment) -> List[Alert]:
-    """The uninterrupted run's alert stream (the oracle)."""
-    return standalone_oracle(deployment)[0]
-
-
-def run_standalone_trial(
-    deployment: ChaosDeployment,
-    expected: List[Alert],
-    workdir: str,
+def sample_plans(
+    layer: str,
     *,
-    kill_index: int,
-    checkpoint_index: Optional[int] = None,
-    torn: bool = False,
-    fsync: str = "never",
-    flaky_failures: int = 1,
-    max_attempts: int = 4,
-    rng=None,
-    expected_provenance: Optional[Dict[str, bytes]] = None,
-) -> CrashTrialResult:
-    """Run, kill at *kill_index*, recover, finish; judge against *expected*.
+    units: int,
+    kills: int,
+    num_homes: int = 3,
+    seed: int = 0,
+    fault_class: FaultType = FaultType.FAIL_STOP,
+    shard_choices: Sequence[int] = (1, 2, 4),
+) -> Iterator[Tuple[int, tuple, TrialPlan]]:
+    """Yield ``(unit_seed, (deployments, merged), plan)`` for *units*
+    seeded deployments (one home standalone, *num_homes* otherwise) ×
+    *kills* plans each, from the layer's stream ``seed + LAYERS[layer]``.
 
-    With *torn*, the final journal record (event ``kill_index - 1``) is
-    byte-truncated after the crash; the source then re-feeds from that
-    event, as a resumed pipe would — the recovered stream must still
-    match the oracle exactly.
+    Each plan is drawn in the order every existing seed was drawn in:
+    kill, checkpoint, tear, transport faults (service), shard layouts
+    (fleet, service), then the tear seed (torn standalone/fleet trials),
+    or the trial seed and, when torn, the order homes are tried for a
+    journal to tear (service).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    events = deployment.events
-    os.makedirs(workdir, exist_ok=True)
-    journal_dir = os.path.join(workdir, "journal")
-    ckpt_path = os.path.join(workdir, "gateway.ckpt.json")
-    outbox_dir = os.path.join(workdir, "outbox")
-    delivered_path = os.path.join(workdir, "delivered.jsonl")
+    rng = np.random.default_rng(seed + LAYERS[layer])
+    service = layer == "service"
+    for u in range(units):
+        unit_seed = seed * 1000 + u
+        if layer == "standalone":
+            dep = build_chaos_deployment(unit_seed, fault_class=fault_class)
+            unit = ([dep], [(dep.home_id, event) for event in dep.events])
+        else:
+            unit = build_chaos_fleet(unit_seed, num_homes, fault_class)
+        for _ in range(kills):
+            kill = int(rng.integers(2, len(unit[1])))
+            checkpoint: Optional[int] = None
+            if rng.random() < 0.5 and kill > 2:
+                checkpoint = int(rng.integers(1, kill))
+            torn = bool(rng.random() < 0.34)
+            faults = bool(rng.random() < SERVICE_FAULT_RATE) if service else False
+            shards = (1, 1)
+            if layer != "standalone":
+                shards = (int(rng.choice(shard_choices)), int(rng.choice(shard_choices)))
+            trial_seed = int(rng.integers(1 << 31)) if service or torn else None
+            tear_order: Tuple[int, ...] = ()
+            if service and torn:
+                tear_order = tuple(int(i) for i in rng.permutation(len(unit[0])))
+            plan = TrialPlan(kill, checkpoint, torn, faults, *shards, trial_seed, tear_order)
+            yield unit_seed, unit, plan
 
-    def make_outbox() -> Tuple[AlertOutbox, FlakySink]:
-        sink = FlakySink(FileSink(delivered_path), failures=flaky_failures)
-        outbox = AlertOutbox(
-            outbox_dir,
-            sink,
-            max_attempts=max_attempts,
-            sleep=lambda _s: None,
-            metrics=telemetry.NULL_REGISTRY,
-        )
-        return outbox, sink
 
-    # --- life before the crash ---------------------------------------- #
-    outbox, _ = make_outbox()
-    durable = DurableOnlineDice(
-        deployment.fit_detector(),
-        journal_dir,
-        home_id=deployment.home_id,
-        start=deployment.split,
+# --------------------------------------------------------------------- #
+# The three layers' lives
+# --------------------------------------------------------------------- #
+
+
+def _outbox(
+    workdir: str, seed: Optional[int], flaky_failures: int, max_attempts: int
+) -> AlertOutbox:
+    """One life's outbox: shared directory, a sink that fails each alert's
+    first *flaky_failures* attempts, and no real backoff sleeps."""
+    sink = FlakySink(
+        FileSink(os.path.join(workdir, "delivered.jsonl")), failures=flaky_failures
+    )
+    return AlertOutbox(
+        os.path.join(workdir, "outbox"),
+        sink,
+        max_attempts=max_attempts,
+        sleep=lambda _s: None,
+        jitter_seed=seed,
+        metrics=telemetry.NULL_REGISTRY,
+    )
+
+
+@dataclass
+class _Recovered:
+    """What a layer's two lives hand the judge."""
+
+    alerts: Dict[str, List[Alert]]  # per home: checkpoint prefix + recovered
+    counters: Dict[str, float]  # per home: the final alert counter
+    outbox: AlertOutbox  # the recovered life's
+    replayed: int
+    torn: bool  # a journal record was actually torn
+    #: Standalone: the counter after replay never undercuts the checkpoint's.
+    counters_floor: bool = True
+    healthy: bool = True  # service: every client and stream close succeeded
+    #: Service: every event journaled exactly once and nothing shed.
+    ingest_exact: bool = True
+
+
+def _tear(plan: TrialPlan, journal_root: str, merged) -> int:
+    """Tear the record of the last event fed before the kill, when the
+    plan says so; return where the source resumes (it re-feeds a torn
+    event, which never durably happened)."""
+    if plan.torn:
+        home_id, event = merged[plan.kill - 1]
+        journal = os.path.join(journal_root, home_id)
+        if tear_final_record(journal, event, np.random.default_rng(plan.seed)):
+            return plan.kill - 1
+    return plan.kill
+
+
+def _recover_fleet(
+    deployments: Sequence[ChaosDeployment],
+    journal_root: str,
+    ckpt_dir: Optional[str],
+    num_shards: int,
+    fsync: str,
+    outbox: AlertOutbox,
+    detectors: Optional[Dict[str, DiceDetector]] = None,
+) -> Tuple[DurableFleetGateway, List]:
+    detectors = detectors or _fit_all(deployments)
+    return DurableFleetGateway.recover(
+        detectors,
+        journal_root,
+        checkpoint_dir=ckpt_dir,
+        gateway=(
+            None
+            if ckpt_dir is not None
+            else _fresh_fleet(deployments, detectors, num_shards)
+        ),
+        num_shards=num_shards,
         fsync=fsync,
         outbox=outbox,
         lateness_seconds=LATENESS_SECONDS,
         policy=POLICY,
     )
-    alerts_at_checkpoint = 0.0
+
+
+def _alerts_by_home(durable: DurableFleetGateway, homes) -> Dict[str, List[Alert]]:
+    return {home_id: list(durable.alerts_of(home_id)) for home_id in homes}
+
+
+def _counters_by_home(durable: DurableFleetGateway, homes) -> Dict[str, float]:
+    return {
+        home_id: _counter_total(durable.gateway.runtime_of(home_id).metrics, ALERTS_TOTAL)
+        for home_id in homes
+    }
+
+
+def _standalone_lives(
+    oracle: ChaosOracle, plan: TrialPlan, workdir: str, fsync: str, make_outbox
+) -> _Recovered:
+    """Feed one :class:`DurableOnlineDice` up to the kill (checkpointing on
+    the way), crash it, recover from checkpoint + journal tail, finish."""
+    (dep,) = oracle.deployments
+    events = dep.events
+    journal_root = os.path.join(workdir, "journals")
+    ckpt_path = os.path.join(workdir, "gateway.ckpt.json")
+    options = dict(
+        home_id=dep.home_id,
+        start=dep.split,
+        fsync=fsync,
+        lateness_seconds=LATENESS_SECONDS,
+        policy=POLICY,
+    )
+    journal = os.path.join(journal_root, dep.home_id)
+    durable = DurableOnlineDice(
+        dep.fit_detector(), journal, outbox=make_outbox(), **options
+    )
+    at_checkpoint = 0.0
     prefix: List[Alert] = []
-    if checkpoint_index is not None and 0 < checkpoint_index < kill_index:
-        durable.ingest_many(events[:checkpoint_index])
+    begin = 0
+    if plan.checkpointed:
+        durable.ingest_many(events[: plan.checkpoint])
         durable.save_checkpoint(ckpt_path)
-        alerts_at_checkpoint = _counter_total(durable.metrics, ALERTS_TOTAL)
+        at_checkpoint = _counter_total(durable.metrics, ALERTS_TOTAL)
         # Restore does not resurrect alert *history* (those alerts were
         # already delivered); the end-to-end stream is prefix + recovered.
         prefix = list(durable.alerts)
-        durable.ingest_many(events[checkpoint_index:kill_index])
-    else:
-        checkpoint_index = None
-        durable.ingest_many(events[:kill_index])
+        begin = plan.checkpoint
+    durable.ingest_many(events[begin : plan.kill])
     durable.deliver_pending()  # some alerts reach the sink pre-crash
     durable.close()  # process crash: user buffers flush to the OS, then death
 
-    resume_from = kill_index
-    if torn:
-        cut = tear_final_record(
-            journal_dir, events[kill_index - 1], np.random.default_rng(int(rng.integers(1 << 31)))
-        )
-        if cut:
-            # The torn record's event never durably happened: re-feed it.
-            resume_from = kill_index - 1
-
-    # --- the next life ------------------------------------------------- #
-    outbox, sink = make_outbox()
+    resume = _tear(plan, journal_root, oracle.merged)
+    outbox = make_outbox()
     recovered, replayed = DurableOnlineDice.recover(
-        deployment.fit_detector(),
-        journal_dir,
-        checkpoint_path=ckpt_path,
-        home_id=deployment.home_id,
-        start=deployment.split,
-        fsync=fsync,
-        outbox=outbox,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
+        dep.fit_detector(), journal, checkpoint_path=ckpt_path, outbox=outbox, **options
     )
-    alerts_after_replay = _counter_total(recovered.metrics, ALERTS_TOTAL)
-    recovered.ingest_many(events[resume_from:])
-    recovered.finish_stream(deployment.end)
+    after_replay = _counter_total(recovered.metrics, ALERTS_TOTAL)
+    recovered.ingest_many(events[resume:])
+    recovered.finish_stream(dep.end)
     recovered.deliver_pending()
-    provenance_parity = True
-    if expected_provenance is not None:
-        archived = canonical_provenance(recovered.provenance_log.records())
-        provenance_parity = archived == expected_provenance
     recovered.close()
-
-    parity = canonical_alerts(prefix + recovered.alerts) == canonical_alerts(expected)
-    final_total = _counter_total(recovered.metrics, ALERTS_TOTAL)
-    counters_monotone = (
-        alerts_after_replay >= alerts_at_checkpoint
-        and final_total == float(len(expected))
-    )
-    expected_ids = set(_expected_ids(deployment.home_id, expected))
-    acked = set(outbox.delivered_ids())
-    dead = outbox.dead_letters()
-    dead_ids = {entry["record"]["id"] for entry in dead}
-    delivery_ok = parity and expected_ids == (acked | dead_ids)
-    if flaky_failures < max_attempts:
-        delivery_ok = delivery_ok and not dead_ids
-    return CrashTrialResult(
-        mode="standalone",
-        deploy_seed=-1,  # caller stamps it
-        kill_index=kill_index,
-        total_events=len(events),
-        checkpointed=checkpoint_index is not None,
-        torn=torn and resume_from != kill_index,
-        parity=parity,
-        counters_monotone=counters_monotone,
-        delivery_ok=delivery_ok,
-        replayed_alerts=len(replayed),
-        delivered=len(acked),
-        dead_letters=len(dead),
-        provenance_parity=provenance_parity,
+    return _Recovered(
+        alerts={dep.home_id: prefix + recovered.alerts},
+        counters={dep.home_id: _counter_total(recovered.metrics, ALERTS_TOTAL)},
+        outbox=outbox,
+        replayed=len(replayed),
+        torn=resume != plan.kill,
+        counters_floor=after_replay >= at_checkpoint,
     )
 
 
-def run_chaos_standalone(
-    base_dir: str,
-    *,
-    deployments: int = 5,
-    kills_per_deployment: int = 5,
-    seed: int = 0,
-    fsync: str = "never",
-    fault_class: FaultType = FaultType.FAIL_STOP,
-) -> ChaosReport:
-    """The standalone chaos batch: seeded deployments × random kill points."""
-    report = ChaosReport()
-    rng = np.random.default_rng(seed)
-    for d in range(deployments):
-        deploy_seed = seed * 1000 + d
-        deployment = build_chaos_deployment(deploy_seed, fault_class=fault_class)
-        expected, expected_provenance = standalone_oracle(deployment)
-        for k in range(kills_per_deployment):
-            n = len(deployment.events)
-            kill_index = int(rng.integers(2, n))
-            checkpoint_index: Optional[int] = None
-            if rng.random() < 0.5 and kill_index > 2:
-                checkpoint_index = int(rng.integers(1, kill_index))
-            torn = bool(rng.random() < 0.34)
-            workdir = os.path.join(base_dir, f"standalone-{deploy_seed}-{k}")
-            result = run_standalone_trial(
-                deployment,
-                expected,
-                workdir,
-                kill_index=kill_index,
-                checkpoint_index=checkpoint_index,
-                torn=torn,
-                fsync=fsync,
-                rng=rng,
-                expected_provenance=expected_provenance,
-            )
-            result.deploy_seed = deploy_seed
-            report.trials.append(result)
-            _log.info(
-                "chaos_trial",
-                mode="standalone",
-                deploy_seed=deploy_seed,
-                kill_index=kill_index,
-                torn=result.torn,
-                checkpointed=result.checkpointed,
-                ok=result.ok,
-            )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# Fleet trials
-# --------------------------------------------------------------------- #
-
-
-def build_chaos_fleet(
-    seed: int,
-    num_homes: int = 3,
-    fault_class: FaultType = FaultType.FAIL_STOP,
-) -> Tuple[List[ChaosDeployment], List[Tuple[str, Event]]]:
-    """*num_homes* chaos deployments plus their merged arrival stream."""
-    deployments = [
-        build_chaos_deployment(
-            seed * 100 + i, home_id=f"home-{i:04d}", fault_class=fault_class
-        )
-        for i in range(num_homes)
-    ]
-    merged: List[Tuple[float, int, str, Event]] = []
-    for order, dep in enumerate(deployments):
-        for event in dep.events:
-            merged.append((event.timestamp, order, dep.home_id, event))
-    merged.sort(key=lambda item: (item[0], item[1]))
-    return deployments, [(home_id, event) for _, _, home_id, event in merged]
-
-
-def _fresh_fleet(
-    deployments: Sequence[ChaosDeployment],
-    detectors: Dict[str, DiceDetector],
-    num_shards: int,
-) -> FleetGateway:
-    gateway = FleetGateway(num_shards, metrics=telemetry.NULL_REGISTRY)
-    for dep in deployments:
-        gateway.add_runtime(
-            dep.home_id,
-            HardenedOnlineDice(
-                detectors[dep.home_id],
-                start=dep.split,
-                lateness_seconds=LATENESS_SECONDS,
-                policy=POLICY,
-            ),
-        )
-    return gateway
-
-
-def fleet_oracle(
-    deployments: Sequence[ChaosDeployment],
-    merged: Sequence[Tuple[str, Event]],
-) -> Tuple[Dict[str, List[Alert]], Dict[str, Dict[str, bytes]]]:
-    """Per-home oracle alert streams and evidence archives from an
-    uninterrupted single-shard run."""
-    detectors = {
-        dep.home_id: dep.fit_detector(metrics=telemetry.NULL_REGISTRY)
-        for dep in deployments
-    }
-    gateway = _fresh_fleet(deployments, detectors, num_shards=1)
-    gateway.dispatch(merged)
-    gateway.finish({dep.home_id: dep.end for dep in deployments})
-    alerts = {dep.home_id: gateway.alerts_of(dep.home_id) for dep in deployments}
-    provenance = {
-        dep.home_id: canonical_provenance(
-            gateway.runtime_of(dep.home_id).provenance.records()
-        )
-        for dep in deployments
-    }
-    return alerts, provenance
-
-
-def baseline_fleet(
-    deployments: Sequence[ChaosDeployment],
-    merged: Sequence[Tuple[str, Event]],
-) -> Dict[str, List[Alert]]:
-    """Per-home oracle streams from an uninterrupted single-shard run."""
-    return fleet_oracle(deployments, merged)[0]
-
-
-def run_fleet_trial(
-    deployments: Sequence[ChaosDeployment],
-    merged: Sequence[Tuple[str, Event]],
-    expected: Dict[str, List[Alert]],
-    workdir: str,
-    *,
-    kill_index: int,
-    checkpoint_index: Optional[int] = None,
-    torn: bool = False,
-    shards_before: int = 2,
-    shards_after: int = 2,
-    fsync: str = "never",
-    flaky_failures: int = 1,
-    max_attempts: int = 4,
-    rng=None,
-    expected_provenance: Optional[Dict[str, Dict[str, bytes]]] = None,
-) -> CrashTrialResult:
-    """Kill a fleet mid-stream, recover (possibly resharded), compare
-    per-home alert streams against the oracle."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    os.makedirs(workdir, exist_ok=True)
+def _fleet_lives(
+    oracle: ChaosOracle, plan: TrialPlan, workdir: str, fsync: str, make_outbox
+) -> _Recovered:
+    """Kill a fleet mid-stream, recover (possibly resharded), finish."""
+    deployments, merged = oracle.deployments, oracle.merged
+    homes = [dep.home_id for dep in deployments]
     journal_root = os.path.join(workdir, "journals")
     ckpt_dir = os.path.join(workdir, "fleet-ckpt")
-    outbox_dir = os.path.join(workdir, "outbox")
-    delivered_path = os.path.join(workdir, "delivered.jsonl")
-    ends = {dep.home_id: dep.end for dep in deployments}
-
-    def make_outbox() -> Tuple[AlertOutbox, FlakySink]:
-        sink = FlakySink(FileSink(delivered_path), failures=flaky_failures)
-        return (
-            AlertOutbox(
-                outbox_dir,
-                sink,
-                max_attempts=max_attempts,
-                sleep=lambda _s: None,
-                metrics=telemetry.NULL_REGISTRY,
-            ),
-            sink,
-        )
-
-    detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
-    outbox, _ = make_outbox()
     durable = DurableFleetGateway(
-        _fresh_fleet(deployments, detectors, shards_before),
+        _fresh_fleet(deployments, _fit_all(deployments), plan.shards_before),
         journal_root,
         fsync=fsync,
-        outbox=outbox,
+        outbox=make_outbox(),
     )
-    prefix: Dict[str, List[Alert]] = {dep.home_id: [] for dep in deployments}
-    if checkpoint_index is not None and 0 < checkpoint_index < kill_index:
-        durable.dispatch(merged[:checkpoint_index])
+    prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    begin = 0
+    if plan.checkpointed:
+        durable.dispatch(merged[: plan.checkpoint])
         durable.save_checkpoint(ckpt_dir)
-        prefix = {
-            dep.home_id: list(durable.alerts_of(dep.home_id)) for dep in deployments
-        }
-        durable.dispatch(merged[checkpoint_index:kill_index])
-    else:
-        checkpoint_index = None
-        durable.dispatch(merged[:kill_index])
+        prefix = _alerts_by_home(durable, homes)
+        begin = plan.checkpoint
+    durable.dispatch(merged[begin : plan.kill])
     durable.deliver_pending()
     durable.close()
 
-    resume_from = kill_index
-    if torn:
-        torn_home, torn_event = merged[kill_index - 1]
-        cut = tear_final_record(
-            os.path.join(journal_root, torn_home),
-            torn_event,
-            np.random.default_rng(int(rng.integers(1 << 31))),
-        )
-        if cut:
-            resume_from = kill_index - 1
-
-    detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
-    outbox, _ = make_outbox()
-    recovered, replayed = DurableFleetGateway.recover(
-        detectors,
+    resume = _tear(plan, journal_root, merged)
+    outbox = make_outbox()
+    recovered, replayed = _recover_fleet(
+        deployments,
         journal_root,
-        checkpoint_dir=ckpt_dir if checkpoint_index is not None else None,
-        gateway=(
-            None
-            if checkpoint_index is not None
-            else _fresh_fleet(deployments, detectors, shards_after)
-        ),
-        num_shards=shards_after,
-        fsync=fsync,
-        outbox=outbox,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
+        ckpt_dir if plan.checkpointed else None,
+        plan.shards_after,
+        fsync,
+        outbox,
     )
-    recovered.dispatch(merged[resume_from:])
-    recovered.finish(ends)
+    recovered.dispatch(merged[resume:])
+    recovered.finish({dep.home_id: dep.end for dep in deployments})
     recovered.deliver_pending()
-    provenance_parity = True
-    if expected_provenance is not None:
-        # Read the per-home archives fresh from disk: a home whose records
-        # all predate the crash may never have lazily opened a log handle
-        # in the recovered gateway.
-        provenance_parity = all(
-            canonical_provenance(
-                ProvenanceLog(os.path.join(journal_root, home_id)).records()
-            )
-            == expected_provenance[home_id]
-            for home_id in expected_provenance
-        )
     recovered.close()
+    return _Recovered(
+        alerts={h: prefix[h] + recovered.alerts_of(h) for h in homes},
+        counters=_counters_by_home(recovered, homes),
+        outbox=outbox,
+        replayed=len(replayed),
+        torn=resume != plan.kill,
+    )
 
-    parity = all(
-        canonical_alerts(prefix[home_id] + recovered.alerts_of(home_id))
+
+def _service_lives(
+    oracle: ChaosOracle, plan: TrialPlan, workdir: str, fsync: str, make_outbox
+) -> _Recovered:
+    """One network kill-and-recover cycle against a live loopback server.
+
+    Phase 1 streams every home concurrently through retrying clients
+    (barrier-synced, streams left open).  When the fleet-wide applied
+    count crosses ``plan.kill`` the server dies abruptly — after an
+    optional mid-run checkpoint, and with an optional torn journal tail
+    (the mid-append death; the client re-sends the torn event because the
+    recovered ``applied`` count excludes it).  A recovered server takes
+    over the same port; once every client reports its full stream
+    applied, phase 2 closes each home's stream exactly once.
+    """
+    deployments = oracle.deployments
+    homes = [dep.home_id for dep in deployments]
+    journal_root = os.path.join(workdir, "journals")
+    ckpt_dir = os.path.join(workdir, "fleet-ckpt")
+    total = len(oracle.merged)
+    trial_seed = plan.seed
+
+    # Fit both generations up front so the restart gap stays short.
+    detectors_before = _fit_all(deployments)
+    detectors_after = _fit_all(deployments)
+    config = ServiceConfig(
+        queue_capacity=8192, read_timeout_s=5.0, frame_timeout_s=5.0, ack_every=16
+    )
+    durable = DurableFleetGateway(
+        _fresh_fleet(deployments, detectors_before, plan.shards_before),
+        journal_root,
+        fsync=fsync,
+        outbox=make_outbox(),
+    )
+    handle = ServiceThread(IngestServer(durable, config)).start()
+    port = handle.port
+    errors: List[BaseException] = []
+
+    # The checkpoint must land between two known applied counts or the
+    # consumer can race past it (even to the end of every stream) before
+    # the checkpoint callback runs on the loop, truncating away the very
+    # tail a torn trial wants to damage.  So when a checkpoint is planned
+    # the clients send in two waves: wave 1 is each home's proportional
+    # prefix of ``plan.checkpoint`` events, confirmed applied before the
+    # checkpoint is taken with nothing in flight; wave 2 resumes by
+    # sequence and the kill lands mid-wave, guaranteeing post-checkpoint
+    # journal bytes exist to tear.
+    wave1_done = [threading.Event() for _ in deployments]
+    wave2_gate = threading.Event()
+
+    def client_main(index: int, dep: ChaosDeployment) -> None:
+        injector = None
+        if plan.faults:
+            injector = NetFaultInjector(
+                np.random.default_rng(trial_seed * 7919 + index)
+            )
+        client = ServiceClient(
+            "127.0.0.1",
+            port,
+            max_attempts=400,
+            base_delay=0.002,
+            max_delay=0.05,
+            jitter_seed=trial_seed + index,
+            io_timeout=5.0,
+            fault_injector=injector,
+        )
+        try:
+            if plan.checkpointed:
+                head = dep.events[: (len(dep.events) * plan.checkpoint) // total]
+                if head:
+                    client.send_stream(dep.home_id, head, finish=False)
+                wave1_done[index].set()
+                wave2_gate.wait()
+            client.send_stream(dep.home_id, dep.events, finish=False)
+        except BaseException as exc:  # judged by the trial, not raised here
+            errors.append(exc)
+            wave1_done[index].set()
+
+    threads = [
+        threading.Thread(target=client_main, args=(i, dep), daemon=True)
+        for i, dep in enumerate(deployments)
+    ]
+    for thread in threads:
+        thread.start()
+
+    prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    if plan.checkpointed:
+        for flag in wave1_done:
+            flag.wait()
+
+        def do_checkpoint() -> Dict[str, List[Alert]]:
+            durable.save_checkpoint(ckpt_dir)
+            return _alerts_by_home(durable, homes)
+
+        prefix = handle.call(do_checkpoint)
+        wave2_gate.set()
+    kill_at = min(plan.kill, total)
+    while handle.call(lambda: sum(durable.ingest_seqs.values())) < kill_at:
+        time.sleep(0.002)
+    handle.kill()
+    applied_at_kill = dict(durable.ingest_seqs)
+
+    # A home whose client stalled after the checkpoint leaves an empty
+    # newest segment (nothing to tear), so walk the homes in the plan's
+    # seeded order (default: home order) and tear the first journal that
+    # actually has a final record to damage.
+    torn = False
+    tear_order = (plan.tear_order or range(len(deployments))) if plan.torn else ()
+    for index in tear_order:
+        victim = deployments[index]
+        applied = applied_at_kill.get(victim.home_id, 0)
+        if applied and tear_final_record(
+            os.path.join(journal_root, victim.home_id),
+            victim.events[applied - 1],
+            np.random.default_rng(trial_seed ^ 0x5EED),
+        ):
+            torn = True
+            break
+
+    # --- the next life: recover onto the same port --------------------- #
+    outbox = make_outbox()
+    recovered, replayed = _recover_fleet(
+        deployments,
+        journal_root,
+        ckpt_dir if plan.checkpointed else None,
+        plan.shards_after,
+        fsync,
+        outbox,
+        detectors_after,
+    )
+    handle2 = ServiceThread(
+        IngestServer(recovered, dataclasses.replace(config, port=port))
+    ).start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+
+    # Phase 2: close every stream (exactly once, on the surviving server).
+    if not errors:
+        for dep in deployments:
+            closer = ServiceClient(
+                "127.0.0.1",
+                port,
+                max_attempts=50,
+                base_delay=0.002,
+                max_delay=0.05,
+                jitter_seed=trial_seed ^ 0xF1,
+                io_timeout=10.0,
+            )
+            try:
+                closer.send_stream(dep.home_id, dep.events, end=dep.end, finish=True)
+            except BaseException as exc:
+                errors.append(exc)
+    handle2.drain()
+    if errors:
+        _log.error(
+            "service_trial_client_failure", errors=[repr(e) for e in errors]
+        )
+
+    # Exact ingest accounting: every event journaled exactly once, and no
+    # overload sheds at any point (the queue was never allowed to fill, so
+    # every shed here would be a resume-arithmetic bug, not backpressure).
+    healthy = not errors
+    overload_drops = sum(
+        gw.runtime_of(home_id).drops.count(OVERLOAD)
+        for gw in (durable.gateway, recovered.gateway)
+        for home_id in homes
+    )
+    ingest_exact = (
+        healthy
+        and overload_drops == 0
+        and all(
+            recovered.ingest_seqs.get(dep.home_id, 0) == len(dep.events)
+            for dep in deployments
+        )
+    )
+    return _Recovered(
+        alerts={h: prefix[h] + recovered.alerts_of(h) for h in homes},
+        counters=_counters_by_home(recovered, homes),
+        outbox=outbox,
+        replayed=len(replayed),
+        torn=torn,
+        healthy=healthy,
+        ingest_exact=ingest_exact,
+    )
+
+
+_LIVES: Dict[str, Callable[..., _Recovered]] = {
+    "standalone": _standalone_lives,
+    "fleet": _fleet_lives,
+    "service": _service_lives,
+}
+
+
+# --------------------------------------------------------------------- #
+# The judge and the driver
+# --------------------------------------------------------------------- #
+
+
+def judge(
+    layer: str,
+    oracle: ChaosOracle,
+    plan: TrialPlan,
+    workdir: str,
+    recovered: _Recovered,
+    *,
+    dead_letters_allowed: bool = False,
+) -> CrashTrialResult:
+    """The verdict on one trial, the same for every layer.
+
+    * **parity** — per home, prefix + recovered alerts equal the oracle's
+      in canonical form;
+    * **counters** — every home's alert counter ends at the oracle's
+      count (and, standalone, replay never undercuts the checkpoint);
+    * **provenance** — every home's evidence archive, read fresh from
+      disk, is byte-identical to the oracle's;
+    * **delivery** — every oracle alert id is acked or dead-lettered, with
+      no dead letters unless the sink is worse than the attempt budget
+      (service: and the ingest accounting is exact).
+    """
+    expected = oracle.alerts
+    healthy = recovered.healthy
+    parity = healthy and all(
+        canonical_alerts(recovered.alerts[home_id])
         == canonical_alerts(expected[home_id])
         for home_id in expected
     )
-    counters_monotone = all(
-        _counter_total(
-            recovered.gateway.runtime_of(home_id).metrics, ALERTS_TOTAL
+    counters_monotone = (
+        healthy
+        and recovered.counters_floor
+        and all(
+            recovered.counters[home_id] == float(len(expected[home_id]))
+            for home_id in expected
         )
-        == float(len(expected[home_id]))
-        for home_id in expected
     )
-    expected_ids = set()
-    for home_id, alerts in expected.items():
-        expected_ids.update(_expected_ids(home_id, alerts))
-    acked = set(outbox.delivered_ids())
-    dead = outbox.dead_letters()
+    # Read the archives from disk: a home whose records all predate the
+    # crash may never have opened a log handle in the recovered life.
+    provenance_parity = all(
+        canonical_provenance(
+            ProvenanceLog(os.path.join(workdir, "journals", home_id)).records()
+        )
+        == archive
+        for home_id, archive in oracle.provenance.items()
+    )
+    expected_ids = {
+        alert_id
+        for home_id, alerts in expected.items()
+        for alert_id in _expected_ids(home_id, alerts)
+    }
+    acked = set(recovered.outbox.delivered_ids())
+    dead = recovered.outbox.dead_letters()
     dead_ids = {entry["record"]["id"] for entry in dead}
-    delivery_ok = parity and expected_ids == (acked | dead_ids)
-    if flaky_failures < max_attempts:
-        delivery_ok = delivery_ok and not dead_ids
+    delivery_ok = (
+        parity
+        and recovered.ingest_exact
+        and expected_ids == (acked | dead_ids)
+        and (dead_letters_allowed or not dead_ids)
+    )
     return CrashTrialResult(
-        mode="fleet",
-        deploy_seed=-1,
-        kill_index=kill_index,
-        total_events=len(merged),
-        checkpointed=checkpoint_index is not None,
-        torn=torn and resume_from != kill_index,
+        mode=layer,
+        deploy_seed=-1,  # the batch loop stamps it
+        kill_index=plan.kill,
+        total_events=len(oracle.merged),
+        checkpointed=plan.checkpointed,
+        torn=recovered.torn,
         parity=parity,
         counters_monotone=counters_monotone,
         delivery_ok=delivery_ok,
-        replayed_alerts=len(replayed),
+        replayed_alerts=recovered.replayed,
         delivered=len(acked),
         dead_letters=len(dead),
-        shards_before=shards_before,
-        shards_after=shards_after,
+        shards_before=plan.shards_before,
+        shards_after=plan.shards_after,
         provenance_parity=provenance_parity,
     )
 
 
-def run_chaos_fleet(
-    base_dir: str,
+def run_trial(
+    layer: str,
+    oracle: ChaosOracle,
+    plan: TrialPlan,
+    workdir: str,
     *,
-    fleets: int = 2,
-    kills_per_fleet: int = 4,
-    num_homes: int = 3,
-    seed: int = 0,
     fsync: str = "never",
-    shard_choices: Sequence[int] = (1, 2, 4),
-    fault_class: FaultType = FaultType.FAIL_STOP,
+    flaky_failures: int = 1,
+    max_attempts: int = 4,
+) -> CrashTrialResult:
+    """Run *plan* on *layer* — live, kill, recover, finish — and judge it
+    against *oracle*.  The sink fails each alert's first *flaky_failures*
+    attempts; at or above *max_attempts* alerts dead-letter instead."""
+    os.makedirs(workdir, exist_ok=True)
+    make_outbox = functools.partial(
+        _outbox, workdir, plan.seed, flaky_failures, max_attempts
+    )
+    recovered = _LIVES[layer](oracle, plan, workdir, fsync, make_outbox)
+    return judge(
+        layer,
+        oracle,
+        plan,
+        workdir,
+        recovered,
+        dead_letters_allowed=flaky_failures >= max_attempts,
+    )
+
+
+def run_chaos(
+    layer: str, base_dir: str, *, fsync: str = "never", **sampling
 ) -> ChaosReport:
-    """The fleet chaos batch, resharding on roughly half the restores."""
-    report = ChaosReport()
-    rng = np.random.default_rng(seed + 7)
-    for f in range(fleets):
-        fleet_seed = seed * 1000 + f
-        deployments, merged = build_chaos_fleet(
-            fleet_seed, num_homes=num_homes, fault_class=fault_class
+    """The chaos batch on *layer*: every plan :func:`sample_plans` draws
+    from *sampling* (its keyword arguments), run and judged against its
+    unit's oracle."""
+    report = ChaosReport(layer)
+    oracle: Optional[ChaosOracle] = None
+    for index, (unit_seed, unit, plan) in enumerate(sample_plans(layer, **sampling)):
+        if oracle is None or oracle.deployments is not unit[0]:
+            oracle = chaos_oracle(*unit)
+        workdir = os.path.join(base_dir, f"{layer}-{unit_seed}-{index}")
+        result = run_trial(layer, oracle, plan, workdir, fsync=fsync)
+        result.deploy_seed = unit_seed
+        report.trials.append(result)
+        _log.info(
+            "chaos_trial",
+            mode=layer,
+            seed=unit_seed,
+            kill=plan.kill,
+            shards=f"{plan.shards_before}->{plan.shards_after}",
+            faults=plan.faults,
+            torn=result.torn,
+            checkpointed=result.checkpointed,
+            ok=result.ok,
         )
-        expected, expected_provenance = fleet_oracle(deployments, merged)
-        for k in range(kills_per_fleet):
-            kill_index = int(rng.integers(2, len(merged)))
-            checkpoint_index: Optional[int] = None
-            if rng.random() < 0.5 and kill_index > 2:
-                checkpoint_index = int(rng.integers(1, kill_index))
-            torn = bool(rng.random() < 0.34)
-            shards_before = int(rng.choice(shard_choices))
-            shards_after = int(rng.choice(shard_choices))
-            workdir = os.path.join(base_dir, f"fleet-{fleet_seed}-{k}")
-            result = run_fleet_trial(
-                deployments,
-                merged,
-                expected,
-                workdir,
-                kill_index=kill_index,
-                checkpoint_index=checkpoint_index,
-                torn=torn,
-                shards_before=shards_before,
-                shards_after=shards_after,
-                fsync=fsync,
-                rng=rng,
-                expected_provenance=expected_provenance,
-            )
-            result.deploy_seed = fleet_seed
-            report.trials.append(result)
-            _log.info(
-                "chaos_trial",
-                mode="fleet",
-                fleet_seed=fleet_seed,
-                kill_index=kill_index,
-                shards=f"{shards_before}->{shards_after}",
-                torn=result.torn,
-                checkpointed=result.checkpointed,
-                ok=result.ok,
-            )
     return report

@@ -28,10 +28,11 @@ import pytest
 from repro import telemetry
 from repro.core import create_backend
 from repro.core.backend import _BatchWindow
-from repro.faults import (
-    baseline_standalone,
+from repro.faults.crash import (
+    TrialPlan,
     build_chaos_deployment,
-    run_standalone_trial,
+    chaos_oracle,
+    run_trial,
 )
 from repro.streaming import (
     HardenedOnlineDice,
@@ -203,14 +204,12 @@ class TestQuarantineMasking:
 class TestChaosRecovery:
     def test_crash_recovery_reaches_alert_parity(self, backend_name, tmp_path):
         deployment = build_chaos_deployment(42, backend=backend_name)
-        expected = baseline_standalone(deployment)
         n = len(deployment.events)
-        result = run_standalone_trial(
-            deployment,
-            expected,
+        result = run_trial(
+            "standalone",
+            chaos_oracle([deployment]),
+            TrialPlan(kill=(3 * n) // 4, checkpoint=n // 2),
             str(tmp_path),
-            kill_index=(3 * n) // 4,
-            checkpoint_index=n // 2,
         )
         assert result.ok, f"{backend_name} lost parity after crash-recovery"
         assert result.checkpointed

@@ -9,26 +9,31 @@ import pytest
 
 from repro.durability import DURABILITY_SIDECAR, DurableFleetGateway
 from repro.streaming import CheckpointError
-from repro.faults import (
-    baseline_fleet,
+from repro.faults.crash import (
+    TrialPlan,
+    _fresh_fleet,
     build_chaos_fleet,
-    run_chaos_fleet,
-    run_fleet_trial,
+    chaos_oracle,
+    run_chaos,
+    run_trial,
 )
+from tests.faults.chaos_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
 def fleet():
     deployments, merged = build_chaos_fleet(7, num_homes=3)
-    return deployments, merged, baseline_fleet(deployments, merged)
+    oracle = chaos_oracle(deployments, merged)
+    return deployments, merged, oracle
 
 
 class TestChaosBatch:
     def test_randomized_kills_across_shard_layouts(self, tmp_path):
-        report = run_chaos_fleet(
+        report = run_chaos(
+            "fleet",
             str(tmp_path),
-            fleets=2,
-            kills_per_fleet=4,
+            units=2,
+            kills=4,
             num_homes=3,
             seed=0,
             shard_choices=(1, 2, 4),
@@ -39,53 +44,43 @@ class TestChaosBatch:
         # At least one trial must have actually changed shard layout
         # across the crash (reshard-on-restore).
         assert any(t.shards_before != t.shards_after for t in report.trials)
+        # The CI chaos-smoke sizes: the golden's trials and verdicts.
+        assert summary == GOLDEN["summaries"]["fleet"]
 
 
 class TestTargetedTrials:
     @pytest.mark.parametrize("shards_after", [1, 2, 4])
     def test_reshard_on_restore(self, fleet, tmp_path, shards_after):
-        deployments, merged, expected = fleet
-        result = run_fleet_trial(
-            deployments,
-            merged,
-            expected,
-            str(tmp_path),
-            kill_index=len(merged) // 2,
-            checkpoint_index=len(merged) // 4,
+        _, merged, oracle = fleet
+        plan = TrialPlan(
+            kill=len(merged) // 2,
+            checkpoint=len(merged) // 4,
             shards_before=2,
             shards_after=shards_after,
         )
+        result = run_trial("fleet", oracle, plan, str(tmp_path))
         assert result.ok, result
         assert result.checkpointed
 
     def test_torn_home_journal(self, fleet, tmp_path):
-        deployments, merged, expected = fleet
-        result = run_fleet_trial(
-            deployments,
-            merged,
-            expected,
-            str(tmp_path),
-            kill_index=len(merged) // 2,
-            torn=True,
+        _, merged, oracle = fleet
+        plan = TrialPlan(
+            kill=len(merged) // 2, torn=True, shards_before=2, shards_after=2
         )
+        result = run_trial("fleet", oracle, plan, str(tmp_path))
         assert result.ok, result
         assert result.torn
 
     def test_dead_letters_account_for_every_alert(self, fleet, tmp_path):
-        deployments, merged, expected = fleet
-        result = run_fleet_trial(
-            deployments,
-            merged,
-            expected,
-            str(tmp_path),
-            kill_index=len(merged) // 2,
-            flaky_failures=99,
-            max_attempts=2,
+        _, merged, oracle = fleet
+        plan = TrialPlan(kill=len(merged) // 2, shards_before=2, shards_after=2)
+        result = run_trial(
+            "fleet", oracle, plan, str(tmp_path), flaky_failures=99, max_attempts=2
         )
         assert result.parity
         assert result.delivery_ok
         assert result.delivered == 0
-        assert result.dead_letters == sum(len(a) for a in expected.values())
+        assert result.dead_letters == sum(len(a) for a in oracle.alerts.values())
 
 
 class TestRecoverGuards:
@@ -98,7 +93,6 @@ class TestRecoverGuards:
         import os
 
         from repro.durability import DURABILITY_SCHEMA
-        from repro.faults.crash import _fresh_fleet
 
         deployments, merged, _ = fleet
         detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
@@ -120,7 +114,6 @@ class TestRecoverGuards:
         # a CheckpointError naming the version found.
         import json
 
-        from repro.faults.crash import _fresh_fleet
         from repro.fleet.checkpoint import MANIFEST_NAME
         from repro.streaming import restore_runtime
 
@@ -194,8 +187,6 @@ class TestRecoverGuards:
         recovered.close()
 
     def test_health_reports_per_home_epochs(self, fleet, tmp_path):
-        from repro.faults.crash import _fresh_fleet
-
         deployments, merged, _ = fleet
         detectors = {dep.home_id: dep.fit_detector() for dep in deployments}
         durable = DurableFleetGateway(

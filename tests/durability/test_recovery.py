@@ -7,22 +7,27 @@ modes — torn tails, crash-before-first-checkpoint, counter exactness —
 so a chaos regression localizes.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.durability import DurableOnlineDice
-from repro.faults import (
-    ALL_FAULT_TYPES,
-    FaultType,
-    baseline_standalone,
+from repro.faults import ALL_FAULT_TYPES, FaultType
+from repro.faults.crash import (
+    LATENESS_SECONDS,
+    POLICY,
+    TrialPlan,
+    _counter_total,
     build_chaos_deployment,
-    run_chaos_standalone,
-    run_standalone_trial,
-    standalone_oracle,
+    chaos_oracle,
+    run_chaos,
+    run_trial,
     tear_final_record,
 )
-from repro.faults.crash import ALERTS_TOTAL, LATENESS_SECONDS, POLICY, _counter_total
 from repro.streaming import canonical_alerts
+from repro.streaming.runtime import ALERTS_TOTAL
+from tests.faults.chaos_golden import GOLDEN
 
 
 @pytest.fixture(scope="module")
@@ -31,15 +36,22 @@ def deployment():
 
 
 @pytest.fixture(scope="module")
-def expected(deployment):
-    return baseline_standalone(deployment)
+def oracle(deployment):
+    return chaos_oracle([deployment])
+
+
+@pytest.fixture(scope="module")
+def expected(oracle, deployment):
+    return oracle.alerts[deployment.home_id]
+
+
+def _trial(oracle, workdir, plan, **options):
+    return run_trial("standalone", oracle, plan, str(workdir), **options)
 
 
 class TestChaosBatch:
     def test_25_seeded_kill_points_all_recover(self, tmp_path):
-        report = run_chaos_standalone(
-            str(tmp_path), deployments=5, kills_per_deployment=5, seed=0
-        )
+        report = run_chaos("standalone", str(tmp_path), units=5, kills=5, seed=0)
         summary = report.summary()
         assert summary["trials"] == 25
         assert report.ok, summary
@@ -48,6 +60,9 @@ class TestChaosBatch:
         assert summary["checkpointed_trials"] >= 5
         assert summary["delivered"] > 0
         assert summary["dead_letters"] == 0
+        # These are the CI chaos-smoke sizes: the same trials and verdicts
+        # as the golden recorded before the three drivers became one.
+        assert summary == GOLDEN["summaries"]["standalone"]
 
 
 class TestFaultClasses:
@@ -86,13 +101,10 @@ class TestFaultClasses:
 
     def test_stuck_at_deployment_recovers_with_parity(self, tmp_path):
         dep = build_chaos_deployment(42, fault_class=FaultType.STUCK_AT)
-        expected = baseline_standalone(dep)
-        result = run_standalone_trial(
-            dep,
-            expected,
-            str(tmp_path),
-            kill_index=len(dep.events) // 2,
-            checkpoint_index=len(dep.events) // 3,
+        result = _trial(
+            chaos_oracle([dep]),
+            tmp_path,
+            TrialPlan(kill=len(dep.events) // 2, checkpoint=len(dep.events) // 3),
         )
         assert result.ok
         assert result.checkpointed
@@ -101,48 +113,39 @@ class TestFaultClasses:
 class TestProvenanceParity:
     """Evidence records survive the crash byte-for-byte (or regenerate so)."""
 
-    @pytest.fixture(scope="class")
-    def oracle(self, deployment):
-        return standalone_oracle(deployment)
-
     def test_recovered_archive_matches_oracle_bytes(
         self, deployment, oracle, tmp_path
     ):
-        expected_alerts, expected_provenance = oracle
-        assert expected_provenance, "the chaos scenario must produce evidence"
-        n = len(deployment.events)
-        result = run_standalone_trial(
-            deployment,
-            expected_alerts,
-            str(tmp_path),
-            kill_index=(3 * n) // 4,
-            checkpoint_index=n // 2,
-            expected_provenance=expected_provenance,
+        assert oracle.provenance[deployment.home_id], (
+            "the chaos scenario must produce evidence"
         )
+        n = len(deployment.events)
+        result = _trial(oracle, tmp_path, TrialPlan(kill=(3 * n) // 4, checkpoint=n // 2))
         assert result.provenance_parity
         assert result.ok
 
     def test_parity_detects_a_tampered_record(self, deployment, oracle, tmp_path):
-        expected_alerts, expected_provenance = oracle
-        tampered = dict(expected_provenance)
+        tampered = dict(oracle.provenance[deployment.home_id])
         victim = next(iter(tampered))
         tampered[victim] = tampered[victim] + b"x"
-        result = run_standalone_trial(
-            deployment,
-            expected_alerts,
-            str(tmp_path),
-            kill_index=len(deployment.events) // 2,
-            expected_provenance=tampered,
+        result = _trial(
+            dataclasses.replace(
+                oracle, provenance={deployment.home_id: tampered}
+            ),
+            tmp_path,
+            TrialPlan(kill=len(deployment.events) // 2),
         )
         assert not result.provenance_parity
         assert not result.ok
+        assert result.failures == ["provenance_parity"]
 
     def test_oracle_ids_match_the_delivered_alert_ids(self, deployment, oracle):
         # Shared id scheme end to end: every id in the provenance oracle is
         # the trace id the outbox would stamp on the delivered alert.
         from repro.durability import alert_record
 
-        expected_alerts, expected_provenance = oracle
+        expected_alerts = oracle.alerts[deployment.home_id]
+        expected_provenance = oracle.provenance[deployment.home_id]
         outbox_ids = {
             alert_record(deployment.home_id, seq, alert)["id"]
             for seq, alert in enumerate(expected_alerts, start=1)
@@ -151,62 +154,42 @@ class TestProvenanceParity:
 
 
 class TestTargetedTrials:
-    def test_crash_without_checkpoint(self, deployment, expected, tmp_path):
-        result = run_standalone_trial(
-            deployment,
-            expected,
-            str(tmp_path),
-            kill_index=len(deployment.events) // 2,
-        )
+    def test_crash_without_checkpoint(self, deployment, oracle, tmp_path):
+        result = _trial(oracle, tmp_path, TrialPlan(kill=len(deployment.events) // 2))
         assert result.ok
         assert not result.checkpointed
 
-    def test_crash_after_checkpoint(self, deployment, expected, tmp_path):
+    def test_crash_after_checkpoint(self, deployment, oracle, tmp_path):
         n = len(deployment.events)
-        result = run_standalone_trial(
-            deployment,
-            expected,
-            str(tmp_path),
-            kill_index=(3 * n) // 4,
-            checkpoint_index=n // 2,
-        )
+        result = _trial(oracle, tmp_path, TrialPlan(kill=(3 * n) // 4, checkpoint=n // 2))
         assert result.ok
         assert result.checkpointed
 
-    def test_torn_final_record_is_discarded_and_refed(self, deployment, expected, tmp_path):
-        result = run_standalone_trial(
-            deployment,
-            expected,
-            str(tmp_path),
-            kill_index=len(deployment.events) // 2,
-            torn=True,
+    def test_torn_final_record_is_discarded_and_refed(self, deployment, oracle, tmp_path):
+        result = _trial(
+            oracle, tmp_path, TrialPlan(kill=len(deployment.events) // 2, torn=True)
         )
         assert result.ok
         assert result.torn
 
     @pytest.mark.parametrize("fsync", ["interval", "always"])
     def test_stricter_fsync_policies_recover_too(
-        self, deployment, expected, tmp_path, fsync
+        self, deployment, oracle, tmp_path, fsync
     ):
-        result = run_standalone_trial(
-            deployment,
-            expected,
-            str(tmp_path),
-            kill_index=len(deployment.events) // 3,
-            fsync=fsync,
+        result = _trial(
+            oracle, tmp_path, TrialPlan(kill=len(deployment.events) // 3), fsync=fsync
         )
         assert result.ok
 
     def test_retry_exhaustion_dead_letters_instead_of_losing(
-        self, deployment, expected, tmp_path
+        self, deployment, oracle, expected, tmp_path
     ):
         # Sink worse than the attempt budget: nothing is delivered, but
         # every expected alert is accounted for in the dead-letter file.
-        result = run_standalone_trial(
-            deployment,
-            expected,
-            str(tmp_path),
-            kill_index=len(deployment.events) // 2,
+        result = _trial(
+            oracle,
+            tmp_path,
+            TrialPlan(kill=len(deployment.events) // 2),
             flaky_failures=99,
             max_attempts=2,
         )

@@ -1,10 +1,34 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+
+
+class TestParserImports:
+    def test_building_the_parser_loads_no_runtime_layer(self):
+        # Every command pays for what _build_parser imports; the durable,
+        # fleet and service layers and the chaos driver load on use only.
+        probe = (
+            "import sys\n"
+            "from repro.cli import _build_parser\n"
+            "_build_parser()\n"
+            "heavy = ('repro.durability', 'repro.fleet', 'repro.service', "
+            "'repro.faults.crash')\n"
+            "print(sorted(name for name in heavy if name in sys.modules))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestList:
@@ -251,6 +275,20 @@ class TestChaos:
         )
         assert code == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_all_layers_with_a_non_fail_stop_victim(self, tmp_path, capsys):
+        code = main(
+            [
+                "chaos", "--mode", "all", "--seed", "0",
+                "--deployments", "1", "--kills", "2", "--fleets", "1",
+                "--fleet-kills", "2", "--homes", "2",
+                "--fault-class", "stuck_at", "--workdir", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["standalone", "fleet", "service"]
+        assert all(line.endswith("-> OK") for line in lines)
 
     def test_unknown_fault_class_rejected(self):
         with pytest.raises(SystemExit) as excinfo:
