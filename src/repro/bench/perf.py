@@ -453,8 +453,9 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
     """Write-ahead journal overhead on the durable gateway.
 
     Streams one seeded chaos deployment's live events through a plain
-    :class:`~repro.streaming.HardenedOnlineDice` and through
-    :class:`~repro.durability.DurableOnlineDice` under every fsync policy.
+    :class:`~repro.streaming.HardenedOnlineDice` and through a one-home
+    :class:`~repro.durability.DurableFleetGateway` (event by event, as
+    ``repro stream --journal-dir`` runs it) under every fsync policy.
     Baseline and journaled runs are interleaved so machine-load drift
     hits all arms equally,
     and every arm's alert stream is asserted identical to the baseline's.
@@ -462,7 +463,8 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
     """
     import tempfile
 
-    from ..durability import DurableOnlineDice, FSYNC_POLICIES
+    from ..durability import DurableFleetGateway, FSYNC_POLICIES
+    from ..fleet import FleetGateway
     from ..faults.crash import (
         LATENESS_SECONDS,
         POLICY,
@@ -484,18 +486,22 @@ def bench_journal(seed: int, hours: float = 4.5, repeats: int = 3) -> Dict:
         alerts += runtime.finish_stream(deployment.end)
         return time.perf_counter() - t0, alerts
 
-    def _timed_journal(fsync: str, journal_dir: str):
-        detector = deployment.fit_detector(metrics=telemetry.NULL_REGISTRY)
-        durable = DurableOnlineDice(
-            detector, journal_dir, start=deployment.split, fsync=fsync,
-            lateness_seconds=LATENESS_SECONDS, policy=POLICY,
+    def _timed_journal(fsync: str, journal_root: str):
+        home = deployment.home_id
+        gateway = FleetGateway(
+            1, metrics=telemetry.NULL_REGISTRY, share_contexts=False, batch_tick=False
         )
+        gateway.add_home(
+            home, deployment.fit_detector(metrics=telemetry.NULL_REGISTRY),
+            start=deployment.split, lateness_seconds=LATENESS_SECONDS, policy=POLICY,
+        )
+        durable = DurableFleetGateway(gateway, journal_root, fsync=fsync)
         t0 = time.perf_counter()
-        alerts = durable.ingest_many(events)
-        alerts += durable.finish_stream(deployment.end)
+        fresh = durable.dispatch((home, event) for event in events)
+        fresh += durable.finish_home(home, deployment.end)
         seconds = time.perf_counter() - t0
         durable.close()
-        return seconds, alerts
+        return seconds, [fleet_alert.alert for fleet_alert in fresh]
 
     baseline_s = float("inf")
     journal_s = {policy: float("inf") for policy in FSYNC_POLICIES}

@@ -200,12 +200,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--save-checkpoint", default=None, metavar="PATH",
-        help="write the end-of-stream runtime snapshot to PATH",
+        help="write the end-of-stream runtime snapshot to PATH (a JSON "
+        "file; with --journal-dir, a fleet checkpoint directory whose home "
+        "file carries the journal epoch)",
     )
     stream.add_argument(
         "--resume", default=None, metavar="PATH",
         help="restore the runtime from a snapshot instead of starting fresh "
-        "(with --journal-dir, also replay the journal tail past the snapshot)",
+        "(with --journal-dir, a checkpoint directory, and the journal tail "
+        "past it is replayed too)",
     )
     stream.add_argument(
         "--journal-dir", default=None, metavar="DIR",
@@ -555,7 +558,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument(
         "--journal-dir", default=None, metavar="DIR",
-        help="read DIR/provenance.wal (the durable archive)",
+        help="read DIR/provenance.wal (the durable archive); on a fleet "
+        "journal root, a trace-id prefix searches every home's archive",
     )
     explain.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -745,7 +749,10 @@ def _cmd_stream(args) -> int:
     if args.journal_dir:
         import os
 
-        from .durability import AlertOutbox, DurableOnlineDice, FileSink, JournalError
+        from . import telemetry
+        from .durability import AlertOutbox, DurableFleetGateway, FileSink, JournalError
+        from .fleet import FleetGateway
+        from .fleet.checkpoint import MANIFEST_NAME
         from .streaming import CheckpointError
 
         outbox = None
@@ -753,29 +760,42 @@ def _cmd_stream(args) -> int:
             outbox = AlertOutbox(
                 os.path.join(args.journal_dir, "outbox"), FileSink(args.alerts_out)
             )
+        # A journaled home is a one-home, one-shard fleet fed event by
+        # event; resuming without a checkpoint replays the whole journal.
+        options = dict(metrics=telemetry.NULL_REGISTRY, share_contexts=False, batch_tick=False)
+
+        def one_home() -> FleetGateway:
+            gateway = FleetGateway(1, **options)
+            gateway.add_home(
+                args.dataset, detector, start=live.start,
+                lateness_seconds=args.lateness, policy=policy,
+            )
+            return gateway
+
         try:
             if args.resume:
-                durable, replayed = DurableOnlineDice.recover(
-                    detector, args.journal_dir, checkpoint_path=args.resume,
-                    home_id=args.dataset, start=live.start, fsync=args.fsync,
+                restoring = os.path.exists(os.path.join(args.resume, MANIFEST_NAME))
+                durable, replayed = DurableFleetGateway.recover(
+                    {args.dataset: detector}, args.journal_dir,
+                    checkpoint_dir=args.resume,
+                    gateway=None if restoring else one_home(), fsync=args.fsync,
                     outbox=outbox, lateness_seconds=args.lateness, policy=policy,
-                )
-                _log.info(
-                    "resumed from checkpoint + journal tail",
-                    path=args.resume, journal=args.journal_dir,
-                    replayed_alerts=len(replayed),
-                    watermark=durable.runtime.reorder.watermark,
+                    **options,
                 )
             else:
-                durable = DurableOnlineDice(
-                    detector, args.journal_dir, home_id=args.dataset,
-                    start=live.start, fsync=args.fsync, outbox=outbox,
-                    lateness_seconds=args.lateness, policy=policy,
+                durable = DurableFleetGateway(
+                    one_home(), args.journal_dir, fsync=args.fsync, outbox=outbox
                 )
+            runtime = durable.runtime_of(args.dataset)
         except (OSError, ValueError, KeyError, JournalError, CheckpointError) as exc:
             _log.error("resume_failed", path=args.resume, error=str(exc))
             return 2
-        runtime = durable.runtime
+        if args.resume:
+            _log.info(
+                "resumed from checkpoint + journal tail",
+                path=args.resume, journal=args.journal_dir,
+                replayed_alerts=len(replayed), watermark=runtime.reorder.watermark,
+            )
     elif args.resume:
         from .streaming import CheckpointError
 
@@ -797,12 +817,9 @@ def _cmd_stream(args) -> int:
             policy=policy,
         )
     # Trace ids hash the home id; the dataset name is the home on every
-    # path (the durable layer may carry it forward from its checkpoint),
-    # so ids agree between fresh, resumed and durable runs.
+    # path, so ids agree between fresh, resumed and durable runs.
     if runtime.provenance.enabled:
-        runtime.provenance.home_id = (
-            durable.home_id if durable is not None else args.dataset
-        )
+        runtime.provenance.home_id = args.dataset
 
     events = [e for e in live if e.timestamp > runtime.reorder.watermark]
     if args.pipe_faults:
@@ -826,7 +843,14 @@ def _cmd_stream(args) -> int:
         injector = PipeFaultInjector(np.random.default_rng(args.seed), specs)
         events = injector.apply(events)
 
-    driver = durable if durable is not None else runtime
+    ingest_many, finish_stream = runtime.ingest_many, runtime.finish_stream
+    if durable is not None:
+        def ingest_many(chunk):
+            return [fa.alert for fa in durable.dispatch((args.dataset, e) for e in chunk)]
+
+        def finish_stream(end):
+            return [fa.alert for fa in durable.finish_home(args.dataset, end)]
+
     # SIGTERM/SIGINT request a drain: stop at a chunk boundary, leave the
     # stream open (checkpoint/journal carry the resume state) and exit 0.
     from .service import GracefulShutdown
@@ -839,7 +863,7 @@ def _cmd_stream(args) -> int:
             if shutdown.requested:
                 break
             chunk = events[offset : offset + chunk_size]
-            alerts += driver.ingest_many(chunk)
+            alerts += ingest_many(chunk)
             sent += len(chunk)
     drained = shutdown.requested
     if drained:
@@ -854,7 +878,7 @@ def _cmd_stream(args) -> int:
             save_checkpoint(runtime, args.save_checkpoint)
         _log.info("checkpoint saved, stream left open", path=args.save_checkpoint)
     elif not drained:
-        alerts += driver.finish_stream(live.end)
+        alerts += finish_stream(live.end)
 
     print(
         f"streamed {sent} events "
@@ -886,7 +910,7 @@ def _cmd_stream(args) -> int:
         from .telemetry.provenance import canonical_record_bytes
 
         if durable is not None:
-            records = durable.provenance_log.records()
+            records = durable.provenance_log_of(args.dataset).records()
         else:
             records = runtime.provenance.records()
         records = sorted(records, key=lambda r: r["alert"]["seq"])
@@ -1420,10 +1444,7 @@ def _cmd_explain(args) -> int:
 
     from .telemetry import render_explanation
 
-    path = args.provenance
-    if path is None and args.journal_dir:
-        path = os.path.join(args.journal_dir, "provenance.wal")
-    if path is None:
+    if args.provenance is None and not args.journal_dir:
         _log.error(
             "bad_explain", reason="one of --provenance or --journal-dir is required"
         )
@@ -1433,22 +1454,41 @@ def _cmd_explain(args) -> int:
             "bad_explain", reason="give a trace-id prefix, --last or --seq"
         )
         return 2
+    paths = [args.provenance]
+    if args.provenance is None:
+        # A home's journal directory holds its archive; a fleet journal
+        # root holds one per home, in <root>/<home>/.
+        path = os.path.join(args.journal_dir, "provenance.wal")
+        homes = []
+        if not os.path.exists(path) and os.path.isdir(args.journal_dir):
+            homes = sorted(
+                name for name in os.listdir(args.journal_dir)
+                if os.path.isfile(os.path.join(args.journal_dir, name, "provenance.wal"))
+            )
+        paths = [os.path.join(args.journal_dir, h, "provenance.wal") for h in homes] or [path]
+        if len(homes) > 1 and (args.last or args.seq is not None):
+            _log.error(
+                "bad_explain", journal_dir=args.journal_dir, homes=", ".join(homes),
+                reason="--last and --seq need one home's journal directory",
+            )
+            return 2
+    records = []
     try:
-        # 'stream --provenance-out' files are JSON lines (first byte '{');
-        # the durable archive is length+CRC framed (first byte is a frame
-        # header, never '{').
-        with open(path, "rb") as handle:
-            first = handle.read(1)
-        if first == b"{":
-            records = []
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    if line.strip():
-                        records.append(json.loads(line))
-        else:
-            from .durability import read_segment
+        for path in paths:
+            # 'stream --provenance-out' files are JSON lines (first byte '{');
+            # the durable archive is length+CRC framed (first byte is a frame
+            # header, never '{').
+            with open(path, "rb") as handle:
+                first = handle.read(1)
+            if first == b"{":
+                with open(path, "r", encoding="utf-8") as handle:
+                    for line in handle:
+                        if line.strip():
+                            records.append(json.loads(line))
+            else:
+                from .durability import read_segment
 
-            records, _ = read_segment(path)
+                records.extend(read_segment(path)[0])
     except (OSError, ValueError) as exc:
         _log.error("bad_provenance", path=path, error=str(exc))
         return 2
@@ -1465,8 +1505,8 @@ def _cmd_explain(args) -> int:
         record = records[-1] if records else None
     if record is None:
         _log.error(
-            "no_such_alert", path=path, selector=args.selector, seq=args.seq,
-            records=len(records),
+            "no_such_alert", path=", ".join(paths), selector=args.selector,
+            seq=args.seq, records=len(records),
         )
         return 1
     if args.as_json:

@@ -1,5 +1,6 @@
 """Durability layer: write-ahead journal, at-least-once alert outbox,
-and crash recovery for the hardened gateway and the fleet.
+and crash recovery for the fleet gateway (a journaled standalone home is
+a one-home fleet).
 
 The contract, pinned by the chaos harness (:mod:`repro.faults.crash`):
 for any crash point — including one that tears the final journal record
@@ -45,18 +46,8 @@ from .provenance import (
     PROVENANCE_WAL,
     ProvenanceLog,
 )
-from .runtime import (
-    RECOVERY_SECONDS_HISTOGRAM,
-    DurableOnlineDice,
-    encode_event_frame,
-    event_to_record,
-    record_to_event,
-)
-from .fleet import (
-    DURABILITY_SCHEMA,
-    DURABILITY_SIDECAR,
-    DurableFleetGateway,
-)
+from .runtime import encode_event_frame, event_to_record, record_to_event
+from .fleet import RECOVERY_SECONDS_HISTOGRAM, DurableFleetGateway
 
 __all__ = [
     "FSYNC_POLICIES",
@@ -90,12 +81,9 @@ __all__ = [
     "PROVENANCE_RECORDS_TOTAL",
     "PROVENANCE_WAL",
     "ProvenanceLog",
-    "RECOVERY_SECONDS_HISTOGRAM",
-    "DurableOnlineDice",
     "encode_event_frame",
     "event_to_record",
     "record_to_event",
-    "DURABILITY_SCHEMA",
-    "DURABILITY_SIDECAR",
+    "RECOVERY_SECONDS_HISTOGRAM",
     "DurableFleetGateway",
 ]

@@ -1,21 +1,25 @@
-"""Fleet-wide durability: per-shard/per-home journals + shared outbox.
+"""The durable gateway: per-home journals + shared outbox around a fleet.
 
-:class:`DurableFleetGateway` gives the sharded router the same crash
-contract the standalone gateway gets from
-:class:`~repro.durability.runtime.DurableOnlineDice`:
+:class:`DurableFleetGateway` is the one durability wrapper — a journaled
+standalone home is a one-home, one-shard fleet:
 
 * each hosted home owns one :class:`~repro.durability.journal.EventJournal`
   under a shared root (``<root>/<home_id>/``) — journals are keyed by
   *home*, not by shard, so resharding on restore replays correctly (the
-  home → shard map is a pure hash and carries no journal state);
+  home → shard map is a pure hash and carries no journal state).  A new
+  life never extends a segment from an earlier one (it may end in a torn
+  record): a home journal found non-empty rotates to a fresh epoch first;
 * every routed event is journaled before dispatch; unrouted events are
   dropped by the router as always and never journaled (they carry no
   state to recover);
 * fleet alerts get per-home sequence numbers and flow into one shared
-  :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids;
-* :meth:`save_checkpoint` writes the fleet checkpoint directory plus a
-  ``durability.json`` sidecar (per-home journal epochs and alert
-  sequences), then rotates and truncates every home journal;
+  :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids,
+  and each home's sealed evidence records are archived beside its
+  journal (``<root>/<home_id>/provenance.wal``);
+* :meth:`save_checkpoint` writes the fleet checkpoint directory, each
+  home's snapshot carrying that home's ``durability`` section (journal
+  epoch, alert sequence, ingest sequence) in the same atomic write, then
+  rotates and truncates every home journal;
 * :meth:`recover` = restore fleet checkpoint + replay every home's
   journal tail, home by home — per-home alert streams are reproduced
   exactly for any shard count (chaos-harness pinned).
@@ -30,25 +34,21 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from .. import telemetry
 from ..core import DiceDetector
 from ..model import Event
-from ..streaming.checkpoint import CheckpointError, write_json_atomic
+from ..streaming.checkpoint import CheckpointError
 from ..fleet import FleetAlert, FleetGateway, restore_fleet
+from ..fleet.checkpoint import MANIFEST_NAME, save_fleet_checkpoint
 from .journal import EventJournal, replay_records
 from .outbox import AlertOutbox, alert_record
 from .provenance import ProvenanceLog
-from .runtime import (
-    RECOVERY_BUCKETS,
-    RECOVERY_SECONDS_HISTOGRAM,
-    encode_event_frame,
-    record_to_event,
-)
+from .runtime import encode_event_frame, record_to_event
 
 PathLike = Union[str, os.PathLike]
 
-DURABILITY_SIDECAR = "durability.json"
-#: The only restorable sidecar schema: /2 carries per-home journal epochs,
-#: alert sequences and ``ingest_seqs`` (journaled-event counts, the ingest
-#: service's resume points).
-DURABILITY_SCHEMA = "dice-fleet-durability/2"
+RECOVERY_SECONDS_HISTOGRAM = "dice_recovery_seconds"
+
+#: Buckets for the recovery-time histogram: recovery is checkpoint load +
+#: journal replay, so it scales with the tail length — 1 ms to ~1 min.
+RECOVERY_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0)
 
 _log = telemetry.get_logger("repro.durability.fleet")
 
@@ -91,10 +91,15 @@ class DurableFleetGateway:
                 fsync_interval=self.fsync_interval,
                 metrics=self.gateway.runtime_of(home_id).metrics,
             )
+            if journal.segments():
+                # Never extend an earlier life's segment: appends after a
+                # torn record would be invisible to replay.
+                journal.seal()
             self.journals[home_id] = journal
         return journal
 
-    def _provenance_log_of(self, home_id: str) -> ProvenanceLog:
+    def provenance_log_of(self, home_id: str) -> ProvenanceLog:
+        """*home_id*'s evidence archive (opened on first use)."""
         log = self.provenance_logs.get(home_id)
         if log is None:
             log = ProvenanceLog(
@@ -154,7 +159,7 @@ class DurableFleetGateway:
             recorder = self.gateway.runtime_of(home_id).provenance
             if not recorder.enabled:
                 continue
-            log = self._provenance_log_of(home_id)
+            log = self.provenance_log_of(home_id)
             for record in recorder.drain_unjournaled():
                 log.append(record)
         return fresh
@@ -206,36 +211,38 @@ class DurableFleetGateway:
     # ------------------------------------------------------------------ #
 
     def save_checkpoint(self, directory: PathLike) -> None:
-        """Fleet checkpoint + durability sidecar, then rotate/truncate.
+        """Fleet checkpoint with per-home durability sections, then
+        rotate/truncate.
 
-        Same crash-safety order as the standalone path: journals synced,
-        checkpoint (manifest last) written, sidecar written, and only then
-        are superseded segments dropped.
+        Order is the crash-safety argument: the journals are synced first
+        (every event the snapshots account for is on disk); each home's
+        snapshot is written atomically together with its journal epoch,
+        alert sequence and ingest sequence, the manifest last; only then
+        are superseded segments dropped.  A kill at any point leaves every
+        home file self-consistent — its state and the epoch its journal
+        tail starts after come from the same write.
         """
         directory = os.fspath(directory)
-        for journal in self.journals.values():
+        sections: Dict[str, dict] = {}
+        for home_id in self.gateway.home_ids:
+            journal = self._journal_of(home_id)
             journal.sync()
-        self.gateway.save_checkpoint(directory)
-        epochs = {
-            home_id: journal.epoch for home_id, journal in self.journals.items()
-        }
-        write_json_atomic(
-            {
-                "schema": DURABILITY_SCHEMA,
-                "journal_epochs": epochs,
-                "alert_seqs": dict(self.alert_seqs),
-                "ingest_seqs": dict(self.ingest_seqs),
-            },
-            os.path.join(directory, DURABILITY_SIDECAR),
-        )
-        for home_id, journal in self.journals.items():
-            superseded = epochs[home_id]
-            journal.rotate(superseded + 1)
-            journal.truncate_through(superseded)
+            sections[home_id] = {
+                "durability": {
+                    "journal_epoch": journal.epoch,
+                    "alert_seq": self.alert_seqs.get(home_id, 0),
+                    "ingest_seq": self.ingest_seqs.get(home_id, 0),
+                }
+            }
+        save_fleet_checkpoint(self.gateway, directory, sections)
+        for home_id, section in sections.items():
+            superseded = section["durability"]["journal_epoch"]
+            self.journals[home_id].rotate(superseded + 1)
+            self.journals[home_id].truncate_through(superseded)
         _log.info(
             "durable_fleet_checkpoint_saved",
             directory=directory,
-            homes=len(self.journals),
+            homes=len(sections),
         )
 
     @classmethod
@@ -257,82 +264,87 @@ class DurableFleetGateway:
 
         When *checkpoint_dir* holds a manifest, the fleet is restored from
         it (optionally resharded via *num_shards* — journals are per-home,
-        so the replay is shard-layout independent); otherwise the caller
-        must supply a freshly built *gateway* to replay into (the
-        crashed-before-first-checkpoint case).
+        so the replay is shard-layout independent); a home snapshot
+        without the ``durability`` section :meth:`save_checkpoint` writes
+        raises :class:`CheckpointError` naming the home.  Otherwise the
+        caller must supply a freshly built *gateway* to replay into (the
+        crashed-before-first-checkpoint case).  Replayed alerts are
+        re-offered to the outbox (idempotent: already-journaled ids
+        dedup; unacked ones redeliver — at-least-once).
 
         Returns ``(durable_fleet, replayed_alerts)``.
         """
         t0 = time.perf_counter()
-        sidecar: dict = {"journal_epochs": {}, "alert_seqs": {}, "ingest_seqs": {}}
-        manifest_path = (
-            None
-            if checkpoint_dir is None
-            else os.path.join(os.fspath(checkpoint_dir), "manifest.json")
-        )
-        if manifest_path is not None and os.path.exists(manifest_path):
+        sections: Dict[str, dict] = {}
+
+        def read_section(home_id: str, state: dict) -> None:
+            section = state.get("durability")
+            if section is None:
+                # A plain snapshot names no journal epoch: replaying the
+                # whole journal over it would double-apply events and
+                # renumber alerts from 0, colliding with outbox ids.
+                raise CheckpointError(
+                    f"home {home_id!r}: checkpoint has no 'durability' "
+                    "section (not written by DurableFleetGateway.save_checkpoint)"
+                )
+            sections[home_id] = section
+
+        if checkpoint_dir is not None and os.path.isfile(checkpoint_dir):
+            raise CheckpointError(
+                f"corrupt checkpoint {os.fspath(checkpoint_dir)}: a file, "
+                "not a fleet checkpoint directory"
+            )
+        if checkpoint_dir is not None and os.path.exists(
+            os.path.join(os.fspath(checkpoint_dir), MANIFEST_NAME)
+        ):
             gateway = restore_fleet(
                 detectors,
                 checkpoint_dir,
                 num_shards=num_shards,
                 metrics=metrics,
+                on_snapshot=read_section,
                 **runtime_kwargs,
             )
-            sidecar_path = os.path.join(os.fspath(checkpoint_dir), DURABILITY_SIDECAR)
-            if os.path.exists(sidecar_path):
-                import json
-
-                with open(sidecar_path, "r", encoding="utf-8") as handle:
-                    sidecar = json.load(handle)
-                if sidecar.get("schema") != DURABILITY_SCHEMA:
-                    raise CheckpointError(
-                        f"durability sidecar {sidecar_path} has schema "
-                        f"{sidecar.get('schema')!r}, expected {DURABILITY_SCHEMA!r}"
-                    )
         elif gateway is None:
             raise CheckpointError(
                 "no fleet checkpoint to restore and no fresh gateway supplied"
             )
-        epochs = sidecar["journal_epochs"]
+        # Read every tail before the journals open: opening rotates a
+        # non-empty journal, and a torn record is legal only in the newest
+        # segment.
+        tails: Dict[str, List[dict]] = {}
+        for home_id in gateway.home_ids:
+            records, _ = replay_records(
+                os.path.join(os.fspath(journal_root), home_id),
+                after_epoch=sections.get(home_id, {}).get("journal_epoch", -1),
+                metrics=gateway.runtime_of(home_id).metrics,
+            )
+            tails[home_id] = [r for r in records if r.get("type") == "event"]
+        # The resume sequence advances past the events journaled since.
+        ingest_seqs = {
+            home_id: sections.get(home_id, {}).get("ingest_seq", 0) + len(tail)
+            for home_id, tail in tails.items()
+        }
         durable = cls(
             gateway,
             journal_root,
             fsync=fsync,
             fsync_interval=fsync_interval,
             outbox=outbox,
-            alert_seqs=sidecar["alert_seqs"],
-            ingest_seqs=sidecar["ingest_seqs"],
+            alert_seqs={home_id: s["alert_seq"] for home_id, s in sections.items()},
+            ingest_seqs=ingest_seqs,
         )
         replayed: List[FleetAlert] = []
-        total_records = 0
         for home_id in gateway.home_ids:
             runtime = gateway.runtime_of(home_id)
-            records, _ = replay_records(
-                os.path.join(os.fspath(journal_root), home_id),
-                after_epoch=epochs.get(home_id, -1),
-                metrics=runtime.metrics,
-            )
-            total_records += len(records)
-            fresh: List[FleetAlert] = []
-            replayed_events = 0
-            for record in records:
-                if record.get("type") != "event":
-                    continue
-                replayed_events += 1
-                for alert in runtime.ingest(record_to_event(record)):
-                    fresh.append(FleetAlert(home_id, alert))
-            if replayed_events:
-                # The journal tail holds events appended after the sidecar
-                # was written — the resume sequence advances past them.
-                durable.ingest_seqs[home_id] = (
-                    durable.ingest_seqs.get(home_id, 0) + replayed_events
-                )
+            fresh = [
+                FleetAlert(home_id, alert)
+                for record in tails[home_id]
+                for alert in runtime.ingest(record_to_event(record))
+            ]
             gateway.alerts.extend(fresh)
             durable._publish(fresh)
             replayed.extend(fresh)
-            journal = durable._journal_of(home_id)
-            if journal.segments():
-                journal.rotate(journal.epoch + 1)
         elapsed = time.perf_counter() - t0
         gateway.metrics.histogram(
             RECOVERY_SECONDS_HISTOGRAM,
@@ -343,7 +355,7 @@ class DurableFleetGateway:
             "fleet_recovered",
             journal_root=os.fspath(journal_root),
             homes=len(gateway),
-            replayed=total_records,
+            replayed=sum(len(tail) for tail in tails.values()),
             seconds=round(elapsed, 6),
         )
         return durable, replayed

@@ -272,6 +272,27 @@ class EventJournal:
         _log.debug("journal_rotated", directory=self.directory, epoch=self.epoch)
         return self.epoch
 
+    def seal(self) -> int:
+        """Close off an earlier life's segments: cut a torn final record
+        off the newest one, then rotate to a fresh epoch.  Returns it.
+
+        A crash mid-append leaves a partial frame that replay discards
+        anyway; cutting it keeps the torn-tail rule (legal only in the
+        newest segment) true once this life's segment follows, and the
+        rotation means no record is ever appended after the garbage.
+        Every frame is ``encode_record`` of its decoded record, so the
+        valid prefix length is exactly reconstructible from the records.
+        """
+        segments = self.segments()
+        if segments:
+            path = segments[-1][1]
+            records, torn = read_segment(path)
+            if torn:
+                with open(path, "r+b") as handle:
+                    handle.truncate(sum(len(encode_record(r)) for r in records))
+                _log.warning("journal_torn_tail_cut", segment=path, kept=len(records))
+        return self.rotate(self.epoch + 1)
+
     def truncate_through(self, epoch: int) -> int:
         """Delete every segment with epoch ≤ *epoch* (superseded by a
         checkpoint at that epoch).  Returns the number removed."""

@@ -7,7 +7,8 @@ an uninterrupted run, with every alert delivered to the sink at least
 once.  This module *tests that by doing it*, with one driver for every
 layer the contract covers:
 
-* ``standalone`` — one :class:`DurableOnlineDice` home;
+* ``standalone`` — one journaled home: a one-home, one-shard
+  :class:`DurableFleetGateway`;
 * ``fleet`` — a sharded :class:`DurableFleetGateway`, possibly resharded
   on restore;
 * ``service`` — a live loopback :class:`~repro.service.IngestServer`
@@ -55,7 +56,6 @@ from ..core import DiceDetector
 from ..durability import (
     AlertOutbox,
     DurableFleetGateway,
-    DurableOnlineDice,
     FileSink,
     FlakySink,
     ProvenanceLog,
@@ -594,7 +594,7 @@ class _Recovered:
     outbox: AlertOutbox  # the recovered life's
     replayed: int
     torn: bool  # a journal record was actually torn
-    #: Standalone: the counter after replay never undercuts the checkpoint's.
+    #: Every home's counter after replay is at least its checkpoint value.
     counters_floor: bool = True
     healthy: bool = True  # service: every client and stream close succeeded
     #: Service: every event journaled exactly once and nothing shed.
@@ -651,65 +651,17 @@ def _counters_by_home(durable: DurableFleetGateway, homes) -> Dict[str, float]:
     }
 
 
-def _standalone_lives(
-    oracle: ChaosOracle, plan: TrialPlan, workdir: str, fsync: str, make_outbox
-) -> _Recovered:
-    """Feed one :class:`DurableOnlineDice` up to the kill (checkpointing on
-    the way), crash it, recover from checkpoint + journal tail, finish."""
-    (dep,) = oracle.deployments
-    events = dep.events
-    journal_root = os.path.join(workdir, "journals")
-    ckpt_path = os.path.join(workdir, "gateway.ckpt.json")
-    options = dict(
-        home_id=dep.home_id,
-        start=dep.split,
-        fsync=fsync,
-        lateness_seconds=LATENESS_SECONDS,
-        policy=POLICY,
-    )
-    journal = os.path.join(journal_root, dep.home_id)
-    durable = DurableOnlineDice(
-        dep.fit_detector(), journal, outbox=make_outbox(), **options
-    )
-    at_checkpoint = 0.0
-    prefix: List[Alert] = []
-    begin = 0
-    if plan.checkpointed:
-        durable.ingest_many(events[: plan.checkpoint])
-        durable.save_checkpoint(ckpt_path)
-        at_checkpoint = _counter_total(durable.metrics, ALERTS_TOTAL)
-        # Restore does not resurrect alert *history* (those alerts were
-        # already delivered); the end-to-end stream is prefix + recovered.
-        prefix = list(durable.alerts)
-        begin = plan.checkpoint
-    durable.ingest_many(events[begin : plan.kill])
-    durable.deliver_pending()  # some alerts reach the sink pre-crash
-    durable.close()  # process crash: user buffers flush to the OS, then death
-
-    resume = _tear(plan, journal_root, oracle.merged)
-    outbox = make_outbox()
-    recovered, replayed = DurableOnlineDice.recover(
-        dep.fit_detector(), journal, checkpoint_path=ckpt_path, outbox=outbox, **options
-    )
-    after_replay = _counter_total(recovered.metrics, ALERTS_TOTAL)
-    recovered.ingest_many(events[resume:])
-    recovered.finish_stream(dep.end)
-    recovered.deliver_pending()
-    recovered.close()
-    return _Recovered(
-        alerts={dep.home_id: prefix + recovered.alerts},
-        counters={dep.home_id: _counter_total(recovered.metrics, ALERTS_TOTAL)},
-        outbox=outbox,
-        replayed=len(replayed),
-        torn=resume != plan.kill,
-        counters_floor=after_replay >= at_checkpoint,
-    )
+def _floor_holds(at_checkpoint: Dict[str, float], after_replay: Dict[str, float]) -> bool:
+    """No home's alert counter after replay undercuts its checkpoint value."""
+    return all(after_replay[h] >= at_checkpoint.get(h, 0.0) for h in after_replay)
 
 
 def _fleet_lives(
     oracle: ChaosOracle, plan: TrialPlan, workdir: str, fsync: str, make_outbox
 ) -> _Recovered:
-    """Kill a fleet mid-stream, recover (possibly resharded), finish."""
+    """Kill a fleet mid-stream, recover (possibly resharded), finish.
+
+    The ``standalone`` layer is the one-home, one-shard case."""
     deployments, merged = oracle.deployments, oracle.merged
     homes = [dep.home_id for dep in deployments]
     journal_root = os.path.join(workdir, "journals")
@@ -721,15 +673,19 @@ def _fleet_lives(
         outbox=make_outbox(),
     )
     prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    at_checkpoint: Dict[str, float] = {}
     begin = 0
     if plan.checkpointed:
         durable.dispatch(merged[: plan.checkpoint])
         durable.save_checkpoint(ckpt_dir)
+        # Restore does not resurrect alert *history* (those alerts were
+        # already delivered); the end-to-end stream is prefix + recovered.
         prefix = _alerts_by_home(durable, homes)
+        at_checkpoint = _counters_by_home(durable, homes)
         begin = plan.checkpoint
     durable.dispatch(merged[begin : plan.kill])
-    durable.deliver_pending()
-    durable.close()
+    durable.deliver_pending()  # some alerts reach the sink pre-crash
+    durable.close()  # process crash: user buffers flush to the OS, then death
 
     resume = _tear(plan, journal_root, merged)
     outbox = make_outbox()
@@ -741,6 +697,7 @@ def _fleet_lives(
         fsync,
         outbox,
     )
+    after_replay = _counters_by_home(recovered, homes)
     recovered.dispatch(merged[resume:])
     recovered.finish({dep.home_id: dep.end for dep in deployments})
     recovered.deliver_pending()
@@ -751,6 +708,7 @@ def _fleet_lives(
         outbox=outbox,
         replayed=len(replayed),
         torn=resume != plan.kill,
+        counters_floor=_floor_holds(at_checkpoint, after_replay),
     )
 
 
@@ -839,15 +797,16 @@ def _service_lives(
         thread.start()
 
     prefix: Dict[str, List[Alert]] = {home_id: [] for home_id in homes}
+    at_checkpoint: Dict[str, float] = {}
     if plan.checkpointed:
         for flag in wave1_done:
             flag.wait()
 
-        def do_checkpoint() -> Dict[str, List[Alert]]:
+        def do_checkpoint() -> Tuple[Dict[str, List[Alert]], Dict[str, float]]:
             durable.save_checkpoint(ckpt_dir)
-            return _alerts_by_home(durable, homes)
+            return _alerts_by_home(durable, homes), _counters_by_home(durable, homes)
 
-        prefix = handle.call(do_checkpoint)
+        prefix, at_checkpoint = handle.call(do_checkpoint)
         wave2_gate.set()
     kill_at = min(plan.kill, total)
     while handle.call(lambda: sum(durable.ingest_seqs.values())) < kill_at:
@@ -883,6 +842,7 @@ def _service_lives(
         outbox,
         detectors_after,
     )
+    after_replay = _counters_by_home(recovered, homes)
     handle2 = ServiceThread(
         IngestServer(recovered, dataclasses.replace(config, port=port))
     ).start()
@@ -934,13 +894,14 @@ def _service_lives(
         outbox=outbox,
         replayed=len(replayed),
         torn=torn,
+        counters_floor=_floor_holds(at_checkpoint, after_replay),
         healthy=healthy,
         ingest_exact=ingest_exact,
     )
 
 
 _LIVES: Dict[str, Callable[..., _Recovered]] = {
-    "standalone": _standalone_lives,
+    "standalone": _fleet_lives,
     "fleet": _fleet_lives,
     "service": _service_lives,
 }
@@ -965,7 +926,7 @@ def judge(
     * **parity** — per home, prefix + recovered alerts equal the oracle's
       in canonical form;
     * **counters** — every home's alert counter ends at the oracle's
-      count (and, standalone, replay never undercuts the checkpoint);
+      count, and replay never undercuts its checkpoint value;
     * **provenance** — every home's evidence archive, read fresh from
       disk, is byte-identical to the oracle's;
     * **delivery** — every oracle alert id is acked or dead-lettered, with

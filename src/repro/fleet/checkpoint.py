@@ -5,11 +5,13 @@ A fleet checkpoint is a *directory*::
     <dir>/manifest.json          the fleet layout (schema dice-fleet-manifest/1)
     <dir>/<home-file>.json       one schema-v2 gateway snapshot per home
 
-Each per-home file is exactly the versioned snapshot
-:func:`repro.streaming.checkpoint.checkpoint_state` produces — the fleet
-layer adds no per-home state of its own, so a home's snapshot can equally
-be restored standalone with :func:`~repro.streaming.restore_runtime`, and
-a standalone gateway's snapshot can be adopted into a fleet.
+Each per-home file is the versioned snapshot
+:func:`repro.streaming.checkpoint.checkpoint_state` produces, plus any
+extra top-level sections the caller passes for that home (the durable
+gateway's ``durability`` section) in the same atomic write — so a home's
+snapshot can equally be restored standalone with
+:func:`~repro.streaming.restore_runtime`, and a standalone gateway's
+snapshot can be adopted into a fleet.
 
 The manifest records the shard count the checkpoint was taken with, but a
 restore may override it: the home → shard map is a pure hash of the home
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from .. import telemetry
 from ..core import (
@@ -44,13 +46,8 @@ from ..core import (
     SharedContextStore,
     as_backend,
 )
-from ..streaming import (
-    CheckpointError,
-    load_checkpoint,
-    restore_runtime,
-    save_checkpoint,
-)
-from ..streaming.checkpoint import write_json_atomic
+from ..streaming import CheckpointError, load_checkpoint, restore_runtime
+from ..streaming.checkpoint import checkpoint_state, write_json_atomic
 from .gateway import FleetGateway
 
 #: The only restorable manifest schema: /3 records every home's backend
@@ -67,12 +64,18 @@ def _home_filename(index: int) -> str:
     return f"home-{index:05d}.json"
 
 
-def save_fleet_checkpoint(gateway: FleetGateway, directory: PathLike) -> None:
+def save_fleet_checkpoint(
+    gateway: FleetGateway,
+    directory: PathLike,
+    sections: Optional[Dict[str, dict]] = None,
+) -> None:
     """Write the manifest and every home's snapshot under *directory*.
 
-    Per-home snapshots are written first (each atomically, via the
-    streaming layer's write-then-rename), the manifest last — a crash
-    mid-save leaves no manifest pointing at missing homes.
+    *sections* maps a home id to extra top-level sections merged into
+    that home's snapshot.  Per-home snapshots are written first (each
+    atomically, via the streaming layer's write-then-rename), the
+    manifest last — a crash mid-save leaves no manifest pointing at
+    missing homes.
     """
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
@@ -80,7 +83,10 @@ def save_fleet_checkpoint(gateway: FleetGateway, directory: PathLike) -> None:
     for index, home_id in enumerate(gateway.home_ids):
         runtime = gateway.runtime_of(home_id)
         filename = _home_filename(index)
-        save_checkpoint(runtime, os.path.join(directory, filename))
+        state = checkpoint_state(runtime)
+        if sections is not None:
+            state.update(sections[home_id])
+        write_json_atomic(state, os.path.join(directory, filename))
         homes[home_id] = {
             "shard": gateway.shard_index_of(home_id),
             "file": filename,
@@ -155,6 +161,7 @@ def restore_fleet(
     share_contexts: bool = True,
     batch_tick: bool = True,
     context_store: Optional[SharedContextStore] = None,
+    on_snapshot: Optional[Callable[[str, dict], None]] = None,
     **runtime_kwargs,
 ) -> FleetGateway:
     """Rebuild a :class:`FleetGateway` from a checkpoint directory.
@@ -170,6 +177,10 @@ def restore_fleet(
     replayed, so restored homes dedup exactly like freshly added ones and
     a carried refresh history forks its private copy on re-apply — even
     when *num_shards* moved the home to a different shard.
+
+    *on_snapshot* is called with each home id and its loaded snapshot
+    before the home is restored (the durable gateway reads its
+    ``durability`` section there).
     """
     directory = os.fspath(directory)
     manifest = load_fleet_manifest(directory)
@@ -228,6 +239,8 @@ def restore_fleet(
             state = load_checkpoint(os.path.join(directory, entry["file"]))
         except CheckpointError as exc:
             raise CheckpointError(f"home {home_id!r}: {exc}") from exc
+        if on_snapshot is not None:
+            on_snapshot(home_id, state)
         backend = backends[home_id]
         if gateway.share_contexts and backend.dice_detector is not None:
             # Intern before replaying the snapshot: refresh-history re-apply

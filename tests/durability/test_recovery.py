@@ -12,13 +12,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.durability import DurableOnlineDice
+from repro.durability import DurableFleetGateway, record_to_event, replay_records
 from repro.faults import ALL_FAULT_TYPES, FaultType
 from repro.faults.crash import (
     LATENESS_SECONDS,
     POLICY,
     TrialPlan,
     _counter_total,
+    _fresh_fleet,
     build_chaos_deployment,
     chaos_oracle,
     run_chaos,
@@ -199,94 +200,129 @@ class TestTargetedTrials:
         assert result.dead_letters == len(expected)
 
 
+def _one_home(deployment, journal_root, **options):
+    """A journaled standalone home: a one-home, one-shard durable fleet."""
+    detectors = {deployment.home_id: deployment.fit_detector()}
+    return DurableFleetGateway(
+        _fresh_fleet([deployment], detectors, 1), journal_root, **options
+    )
+
+
+def _stream(deployment, events):
+    return [(deployment.home_id, event) for event in events]
+
+
 class TestDurableRuntime:
     def test_recover_counters_match_uninterrupted(self, deployment, expected, tmp_path):
-        events = deployment.events
-        cut = len(events) // 2
-        durable = DurableOnlineDice(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
-            lateness_seconds=LATENESS_SECONDS,
-            policy=POLICY,
-        )
-        durable.ingest_many(events[:cut])
-        durable.save_checkpoint(tmp_path / "ckpt.json")
-        at_ckpt = _counter_total(durable.metrics, ALERTS_TOTAL)
-        prefix = list(durable.alerts)
-        durable.ingest_many(events[cut : cut + 5])
+        home = deployment.home_id
+        merged = _stream(deployment, deployment.events)
+        cut = len(merged) // 2
+        durable = _one_home(deployment, tmp_path / "journals")
+        durable.dispatch(merged[:cut])
+        durable.save_checkpoint(tmp_path / "ckpt")
+        at_ckpt = _counter_total(durable.runtime_of(home).metrics, ALERTS_TOTAL)
+        prefix = list(durable.alerts_of(home))
+        durable.dispatch(merged[cut : cut + 5])
         durable.close()
 
-        recovered, replayed = DurableOnlineDice.recover(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            checkpoint_path=tmp_path / "ckpt.json",
-            start=deployment.split,
+        recovered, replayed = DurableFleetGateway.recover(
+            {home: deployment.fit_detector()},
+            tmp_path / "journals",
+            checkpoint_dir=tmp_path / "ckpt",
             lateness_seconds=LATENESS_SECONDS,
             policy=POLICY,
         )
-        assert _counter_total(recovered.metrics, ALERTS_TOTAL) >= at_ckpt
-        recovered.ingest_many(events[cut + 5 :])
-        recovered.finish_stream(deployment.end)
+        metrics = recovered.runtime_of(home).metrics
+        assert _counter_total(metrics, ALERTS_TOTAL) >= at_ckpt
+        recovered.dispatch(merged[cut + 5 :])
+        recovered.finish({home: deployment.end})
         recovered.close()
-        assert canonical_alerts(prefix + recovered.alerts) == canonical_alerts(expected)
-        assert _counter_total(recovered.metrics, ALERTS_TOTAL) == float(len(expected))
+        assert canonical_alerts(prefix + recovered.alerts_of(home)) == canonical_alerts(
+            expected
+        )
+        assert _counter_total(metrics, ALERTS_TOTAL) == float(len(expected))
 
     def test_fresh_runtime_over_dirty_journal_rotates(self, deployment, tmp_path):
-        first = DurableOnlineDice(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
-        )
-        first.ingest_many(deployment.events[:10])
+        home = deployment.home_id
+        first = _one_home(deployment, tmp_path / "journals")
+        first.dispatch(_stream(deployment, deployment.events[:10]))
         first.close()
-        epoch_before = first.journal.epoch
-        # A *fresh* (non-recovery) runtime must never extend a segment
+        epoch_before = first.journals[home].epoch
+        # A *fresh* (non-recovery) gateway must never extend a segment
         # from an earlier life.
-        second = DurableOnlineDice(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
-        )
-        assert second.journal.epoch == epoch_before + 1
+        second = _one_home(deployment, tmp_path / "journals")
+        assert second.journals[home].epoch == epoch_before + 1
         second.close()
 
-    def test_tear_helper_cuts_partial_frame(self, deployment, tmp_path):
-        durable = DurableOnlineDice(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
+    def test_fresh_gateway_after_torn_tail_keeps_new_events(
+        self, deployment, tmp_path
+    ):
+        # Appending after a torn record would make every new record
+        # invisible to replay, which stops at the first torn frame.
+        home = deployment.home_id
+        journal = str(tmp_path / "journals" / home)
+        events = deployment.events
+        first = _one_home(deployment, tmp_path / "journals")
+        first.dispatch(_stream(deployment, events[:50]))
+        first.close()
+        assert tear_final_record(journal, events[49], np.random.default_rng(0)) > 0
+        second = _one_home(deployment, tmp_path / "journals")
+        second.dispatch(_stream(deployment, events[50:80]))
+        second.close()
+        records, torn = replay_records(journal)
+        assert (len(records), torn) == (79, 0)
+        assert [record_to_event(r) for r in records] == events[:49] + events[50:80]
+
+    def test_second_crash_after_torn_recovery_replays(self, deployment, tmp_path):
+        # Recovery over a torn tail, then a second crash before any
+        # checkpoint: the next recovery must read both lives' segments.
+        home = deployment.home_id
+        journal = str(tmp_path / "journals" / home)
+        events = deployment.events
+        first = _one_home(deployment, tmp_path / "journals")
+        first.dispatch(_stream(deployment, events[:50]))
+        first.close()
+        tear_final_record(journal, events[49], np.random.default_rng(0))
+        detectors = {home: deployment.fit_detector()}
+        second, _ = DurableFleetGateway.recover(
+            detectors,
+            tmp_path / "journals",
+            gateway=_fresh_fleet([deployment], detectors, 1),
         )
-        durable.ingest_many(deployment.events[:10])
+        second.dispatch(_stream(deployment, events[49:80]))
+        second.close()
+        records, torn = replay_records(journal)
+        assert (len(records), torn) == (80, 0)
+
+    def test_tear_helper_cuts_partial_frame(self, deployment, tmp_path):
+        home = deployment.home_id
+        durable = _one_home(deployment, tmp_path / "journals")
+        durable.dispatch(_stream(deployment, deployment.events[:10]))
         durable.close()
         cut = tear_final_record(
-            str(tmp_path / "journal"),
+            str(tmp_path / "journals" / home),
             deployment.events[9],
             np.random.default_rng(0),
         )
         assert cut > 0
         # Recovery discards exactly the torn record and replays the rest.
-        recovered, _ = DurableOnlineDice.recover(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
+        detectors = {home: deployment.fit_detector()}
+        recovered, _ = DurableFleetGateway.recover(
+            detectors,
+            tmp_path / "journals",
+            gateway=_fresh_fleet([deployment], detectors, 1),
         )
-        replayed = _counter_total(
-            recovered.metrics, "dice_journal_replayed_total"
-        )
-        torn = _counter_total(recovered.metrics, "dice_journal_torn_records_total")
-        assert replayed == 9.0
-        assert torn == 1.0
+        metrics = recovered.runtime_of(home).metrics
+        assert _counter_total(metrics, "dice_journal_replayed_total") == 9.0
+        assert _counter_total(metrics, "dice_journal_torn_records_total") == 1.0
         recovered.close()
 
     def test_health_reports_durability_section(self, deployment, tmp_path):
-        durable = DurableOnlineDice(
-            deployment.fit_detector(),
-            tmp_path / "journal",
-            start=deployment.split,
-        )
-        durable.ingest_many(deployment.events[:5])
-        report = durable.health()
-        assert report["durability"]["journal_epoch"] == durable.journal.epoch
-        assert report["durability"]["alert_seq"] == durable.alert_seq
+        home = deployment.home_id
+        durable = _one_home(deployment, tmp_path / "journals")
+        durable.dispatch(_stream(deployment, deployment.events[:5]))
+        report = durable.health()["durability"]
+        assert report["journal_epochs"][home] == durable.journals[home].epoch
+        assert report["alert_seqs"] == dict(durable.alert_seqs)
+        assert report["ingest_seqs"] == {home: 5}
         durable.close()

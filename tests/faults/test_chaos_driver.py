@@ -123,3 +123,41 @@ class TestServiceLayerOptions:
         (deployments,) = oracles
         assert [dep.fault_class for dep in deployments] == [FaultType.STUCK_AT] * 2
         assert fsyncs == {"always"}
+
+
+class TestCounterFloor:
+    """Replay never undercuts a home's checkpointed alert counter — judged
+    for every home on every layer."""
+
+    @staticmethod
+    def _checkpointed_trial(layer):
+        for _, unit, plan in sample_plans(layer, units=1, kills=8, num_homes=2, seed=0):
+            if plan.checkpointed:
+                return crash.chaos_oracle(*unit), plan
+        raise AssertionError("no checkpointed plan drawn")
+
+    @pytest.mark.parametrize("layer", ["standalone", "fleet"])
+    def test_floor_covers_every_home(self, layer, tmp_path, monkeypatch):
+        seen = []
+        real = crash._floor_holds
+
+        def spy(at_checkpoint, after_replay):
+            seen.append((at_checkpoint, after_replay))
+            return real(at_checkpoint, after_replay)
+
+        monkeypatch.setattr(crash, "_floor_holds", spy)
+        oracle, plan = self._checkpointed_trial(layer)
+        assert crash.run_trial(layer, oracle, plan, os.fspath(tmp_path)).ok
+        ((at_checkpoint, after_replay),) = seen
+        homes = {dep.home_id for dep in oracle.deployments}
+        assert set(at_checkpoint) == set(after_replay) == homes
+        assert all(after_replay[h] >= at_checkpoint[h] for h in homes)
+
+    @pytest.mark.parametrize("layer", ["standalone", "fleet"])
+    def test_an_undercut_floor_fails_the_counters_verdict(
+        self, layer, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(crash, "_floor_holds", lambda *_: False)
+        oracle, plan = self._checkpointed_trial(layer)
+        result = crash.run_trial(layer, oracle, plan, os.fspath(tmp_path))
+        assert result.failures == ["counters_monotone"]

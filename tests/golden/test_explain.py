@@ -102,7 +102,10 @@ class TestExplainJournal:
     def test_explain_reads_the_durable_archive(self, tmp_path, capsys):
         journal_dir = str(tmp_path / "journal")
         _stream(tmp_path, "prov.jsonl", "--journal-dir", journal_dir)
-        assert os.path.exists(os.path.join(journal_dir, "provenance.wal"))
+        # A journaled stream is a one-home fleet: <root>/<home>/provenance.wal.
+        assert os.path.exists(
+            os.path.join(journal_dir, regen.DATASET, "provenance.wal")
+        )
         committed = json.loads(_committed_explain())
         capsys.readouterr()
         assert main(

@@ -237,6 +237,53 @@ class TestFleet:
         assert main(self.ARGS + ["--resume", str(tmp_path / "nope")]) == 2
 
 
+class TestExplainJournalRoot:
+    """``explain --journal-dir`` reads a fleet journal root as well as one
+    home's journal directory."""
+
+    @pytest.fixture
+    def fleet_root(self, tmp_path, capsys):
+        root, alerts = tmp_path / "fwal", tmp_path / "a.jsonl"
+        assert main(
+            TestFleet.ARGS
+            + ["--journal-dir", str(root), "--alerts-out", str(alerts)]
+        ) == 0
+        capsys.readouterr()
+        ids = [json.loads(line)["id"] for line in alerts.read_text().splitlines()]
+        homes = sorted({json.loads(line)["home"] for line in alerts.read_text().splitlines()})
+        assert len(homes) == 2, "both homes must raise alerts"
+        return root, ids
+
+    def test_prefix_searches_every_home(self, fleet_root, capsys):
+        root, ids = fleet_root
+        for alert_id in (ids[0], ids[-1]):
+            assert main(["explain", alert_id[:12], "--journal-dir", str(root), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["id"] == alert_id
+
+    @pytest.mark.parametrize("selector", [["--last"], ["--seq", "1"]])
+    def test_last_or_seq_on_a_multi_home_root_names_the_homes(
+        self, fleet_root, capsys, selector
+    ):
+        root, _ = fleet_root
+        assert main(["explain", "--journal-dir", str(root)] + selector) == 2
+        err = capsys.readouterr().err
+        assert "home-0000" in err and "home-0001" in err
+
+    def test_last_on_a_one_home_root(self, tmp_path, capsys):
+        # ``stream --journal-dir`` is a one-home fleet: the root holds one
+        # home archive, so --last needs no home directory.
+        root = tmp_path / "wal"
+        assert main(TestStream.ARGS + ["--journal-dir", str(root)]) == 0
+        capsys.readouterr()
+        assert main(["explain", "--journal-dir", str(root), "--last", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["alert"]["home"] == "houseA"
+
+    def test_last_on_one_home_directory(self, fleet_root, capsys):
+        root, _ = fleet_root
+        assert main(["explain", "--journal-dir", str(root / "home-0001"), "--last"]) == 0
+        assert "home-0001" in capsys.readouterr().out
+
+
 class TestChaos:
     def test_standalone_smoke(self, tmp_path, capsys):
         code = main(
