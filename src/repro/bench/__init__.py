@@ -1,12 +1,9 @@
-"""Performance benchmark harness (``repro bench``)."""
+"""Kernel microbenchmarks and the provenance gate (``repro bench``)."""
 
 from .perf import (
     BENCH_SCHEMA,
     DEFAULT_OUTPUT,
-    bench_backends,
-    bench_fleet,
     bench_provenance,
-    bench_service,
     run_benchmarks,
     validate_document,
 )
@@ -14,10 +11,7 @@ from .perf import (
 __all__ = [
     "BENCH_SCHEMA",
     "DEFAULT_OUTPUT",
-    "bench_backends",
-    "bench_fleet",
     "bench_provenance",
-    "bench_service",
     "run_benchmarks",
     "validate_document",
 ]

@@ -48,11 +48,10 @@ The subcommands cover the everyday workflows:
   arity x attacks x drift x refresh stance through the streaming runtime
   and print per-cell precision/recall/detection-time (``-o`` writes the
   schema-validated deterministic report JSON);
-* ``bench`` — time the detection hot paths (fit, scalar vs memoised vs
-  batched correlation scan, the full segment pipeline, parallel
-  evaluation, fleet homes x shards scaling, write-ahead journal overhead,
-  the scenario matrix, estate-scale capacity A/B) and write
-  ``BENCH_perf.json``.
+* ``bench`` — the kernel microbenchmarks (group interning; scalar vs
+  memoised vs batched correlation scan) and the provenance overhead
+  gate, written to ``BENCH_perf.json``; the running system is measured
+  end to end by ``perfbench/``.
 
 Primary results go to **stdout**; diagnostics (resume/checkpoint notices,
 errors, state changes) go through the structured logger on stderr —
@@ -142,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--workers", type=_worker_count, default=1)
 
     bench = sub.add_parser(
-        "bench", help="time the detection hot paths; write BENCH_perf.json"
+        "bench", help="time the detection kernels; write BENCH_perf.json"
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -152,21 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default="BENCH_perf.json", help="output JSON path"
     )
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--dataset", default="houseA", help="end-to-end eval dataset")
     bench.add_argument(
         "--groups", type=int, default=None, help="scan section: group count"
     )
     bench.add_argument(
         "--windows", type=int, default=None, help="scan section: window count"
-    )
-    bench.add_argument(
-        "--workers", type=_worker_count, nargs="*", default=None,
-        help="worker counts for the end-to-end eval section",
-    )
-    bench.add_argument(
-        "--capacity-homes", type=int, default=None, metavar="H",
-        help="capacity section: fleet size for the shared-vs-replicated A/B "
-        "(default 200 quick / 1000 full)",
     )
 
     stream = sub.add_parser(
@@ -701,6 +690,69 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+def _open_durable(args, detectors, fresh_gateway, policy, **restore_options):
+    """The journaled gateway under ``--journal-dir``, with one meaning for
+    ``stream``, ``fleet`` and ``serve``.
+
+    Without ``--resume`` the journal root must hold no journal segment: a
+    reused root would otherwise be replayed into, or appended after, the
+    new run.  ``--resume PATH`` restores *PATH* when it holds a fleet
+    checkpoint; otherwise the whole journal replays into
+    ``fresh_gateway()`` (a crash before the first checkpoint).  Returns
+    the :class:`~repro.durability.DurableFleetGateway`, or ``None`` after
+    logging one error line (exit 2).
+    """
+    import os
+
+    from .durability import (
+        AlertOutbox,
+        DurableFleetGateway,
+        FileSink,
+        JournalError,
+        list_segments,
+    )
+    from .fleet.checkpoint import MANIFEST_NAME
+    from .streaming import CheckpointError
+
+    root = args.journal_dir
+    if not args.resume and os.path.isdir(root):
+        used = sorted(
+            name for name in os.listdir(root)
+            if list_segments(os.path.join(root, name))
+        )
+        if used:
+            _log.error(
+                "bad_journal", journal_dir=root, homes=", ".join(used),
+                reason="the journal already holds a run; pass --resume to "
+                "continue it, or use a fresh --journal-dir",
+            )
+            return None
+    outbox = None
+    if args.alerts_out:
+        outbox = AlertOutbox(os.path.join(root, "outbox"), FileSink(args.alerts_out))
+    restoring = bool(args.resume) and os.path.exists(
+        os.path.join(args.resume, MANIFEST_NAME)
+    )
+    try:
+        durable, replayed = DurableFleetGateway.recover(
+            detectors, root, checkpoint_dir=args.resume,
+            gateway=None if restoring else fresh_gateway(),
+            fsync=args.fsync, outbox=outbox,
+            lateness_seconds=args.lateness, policy=policy, **restore_options,
+        )
+    except (OSError, ValueError, KeyError, JournalError, CheckpointError) as exc:
+        _log.error("resume_failed", path=args.resume, error=str(exc))
+        return None
+    if args.resume:
+        _log.info(
+            "resumed from checkpoint + journal tails" if restoring
+            else "no checkpoint to resume from; replayed the whole journal",
+            path=args.resume, journal=root, replayed_alerts=len(replayed),
+            homes=len(durable), shards=durable.num_shards,
+        )
+    return durable
+
+
 def _cmd_stream(args) -> int:
     import numpy as np
 
@@ -747,21 +799,9 @@ def _cmd_stream(args) -> int:
 
     durable = None
     if args.journal_dir:
-        import os
-
-        from . import telemetry
-        from .durability import AlertOutbox, DurableFleetGateway, FileSink, JournalError
         from .fleet import FleetGateway
-        from .fleet.checkpoint import MANIFEST_NAME
-        from .streaming import CheckpointError
 
-        outbox = None
-        if args.alerts_out:
-            outbox = AlertOutbox(
-                os.path.join(args.journal_dir, "outbox"), FileSink(args.alerts_out)
-            )
-        # A journaled home is a one-home, one-shard fleet fed event by
-        # event; resuming without a checkpoint replays the whole journal.
+        # A journaled home is a one-home, one-shard fleet fed event by event.
         options = dict(metrics=telemetry.NULL_REGISTRY, share_contexts=False, batch_tick=False)
 
         def one_home() -> FleetGateway:
@@ -772,30 +812,10 @@ def _cmd_stream(args) -> int:
             )
             return gateway
 
-        try:
-            if args.resume:
-                restoring = os.path.exists(os.path.join(args.resume, MANIFEST_NAME))
-                durable, replayed = DurableFleetGateway.recover(
-                    {args.dataset: detector}, args.journal_dir,
-                    checkpoint_dir=args.resume,
-                    gateway=None if restoring else one_home(), fsync=args.fsync,
-                    outbox=outbox, lateness_seconds=args.lateness, policy=policy,
-                    **options,
-                )
-            else:
-                durable = DurableFleetGateway(
-                    one_home(), args.journal_dir, fsync=args.fsync, outbox=outbox
-                )
-            runtime = durable.runtime_of(args.dataset)
-        except (OSError, ValueError, KeyError, JournalError, CheckpointError) as exc:
-            _log.error("resume_failed", path=args.resume, error=str(exc))
+        durable = _open_durable(args, {args.dataset: detector}, one_home, policy, **options)
+        if durable is None:
             return 2
-        if args.resume:
-            _log.info(
-                "resumed from checkpoint + journal tail",
-                path=args.resume, journal=args.journal_dir,
-                replayed_alerts=len(replayed), watermark=runtime.reorder.watermark,
-            )
+        runtime = durable.runtime_of(args.dataset)
     elif args.resume:
         from .streaming import CheckpointError
 
@@ -975,32 +995,12 @@ def _cmd_fleet(args) -> int:
 
     durable = None
     if args.journal_dir:
-        import os
-
-        from .durability import AlertOutbox, DurableFleetGateway, FileSink
-
-        outbox = None
-        if args.alerts_out:
-            outbox = AlertOutbox(
-                os.path.join(args.journal_dir, "outbox"), FileSink(args.alerts_out)
-            )
-        try:
-            durable, replayed = DurableFleetGateway.recover(
-                detectors, args.journal_dir,
-                checkpoint_dir=args.resume,
-                gateway=None if args.resume else fresh_gateway(),
-                num_shards=args.shards, fsync=args.fsync, outbox=outbox,
-                lateness_seconds=args.lateness, policy=policy,
-            )
-        except (OSError, ValueError, KeyError, CheckpointError) as exc:
-            _log.error("resume_failed", path=args.resume, error=str(exc))
+        durable = _open_durable(
+            args, detectors, fresh_gateway, policy, num_shards=args.shards,
+            share_contexts=args.share_contexts, batch_tick=args.batch_tick,
+        )
+        if durable is None:
             return 2
-        if args.resume:
-            _log.info(
-                "resumed fleet checkpoint + journal tails", path=args.resume,
-                journal=args.journal_dir, replayed_alerts=len(replayed),
-                homes=len(durable), shards=durable.num_shards,
-            )
         gateway = durable
     elif args.resume:
         try:
@@ -1104,13 +1104,11 @@ def _cmd_fleet(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
     import json
-    import os
     import signal
 
-    from .durability import AlertOutbox, DurableFleetGateway, FileSink
     from .fleet import FleetGateway, build_fleet_homes, fit_fleet_detectors
     from .service import IngestServer, ServiceConfig
-    from .streaming import CheckpointError, SupervisorPolicy
+    from .streaming import SupervisorPolicy
 
     try:
         homes = build_fleet_homes(
@@ -1134,28 +1132,11 @@ def _cmd_serve(args) -> int:
             )
         return fresh
 
-    outbox = None
-    if args.alerts_out:
-        outbox = AlertOutbox(
-            os.path.join(args.journal_dir, "outbox"), FileSink(args.alerts_out)
-        )
-    try:
-        durable, replayed = DurableFleetGateway.recover(
-            detectors, args.journal_dir,
-            checkpoint_dir=args.resume,
-            gateway=None if args.resume else fresh_gateway(),
-            num_shards=args.shards, fsync=args.fsync, outbox=outbox,
-            lateness_seconds=args.lateness, policy=policy,
-        )
-    except (OSError, ValueError, KeyError, CheckpointError) as exc:
-        _log.error("resume_failed", path=args.resume, error=str(exc))
+    durable = _open_durable(
+        args, detectors, fresh_gateway, policy, num_shards=args.shards
+    )
+    if durable is None:
         return 2
-    if args.resume:
-        _log.info(
-            "resumed fleet checkpoint + journal tails", path=args.resume,
-            journal=args.journal_dir, replayed_alerts=len(replayed),
-            homes=len(durable), shards=durable.num_shards,
-        )
     config = ServiceConfig(
         host=args.host, port=args.port, http_port=args.http_port,
         queue_capacity=args.queue_capacity, read_timeout_s=args.read_timeout,
@@ -1550,13 +1531,7 @@ def _cmd_bench(args) -> int:
     from .bench.perf import write_document
 
     doc = run_benchmarks(
-        quick=args.quick,
-        seed=args.seed,
-        dataset=args.dataset,
-        groups=args.groups,
-        windows=args.windows,
-        workers_list=args.workers,
-        capacity_homes=args.capacity_homes,
+        quick=args.quick, seed=args.seed, groups=args.groups, windows=args.windows
     )
     write_document(doc, args.output)
     scan = doc["scan"][0]
@@ -1567,87 +1542,12 @@ def _cmd_bench(args) -> int:
         f"({scan['speedup_batch_vs_scalar']:.1f}x, "
         f"warm {scan['speedup_warm_vs_scalar']:.1f}x)"
     )
-    segment = doc["segment"]
+    prov = doc["provenance"]
     print(
-        f"segment: full pipeline {segment['windows']} windows "
-        f"{1e3 * segment['seconds']:.1f} ms"
+        f"provenance: {prov['events']} events  "
+        f"overhead {prov['overhead_ratio']:.3f}x  "
+        f"parity {prov['alerts_identical']}"
     )
-    for run in doc["eval"]["runs"]:
-        print(
-            f"eval[{doc['eval']['dataset']}]: workers={run['workers']} "
-            f"(effective {run['effective_workers']}) "
-            f"{run['seconds']:.2f}s  cache hit rate {100 * run['cache_hit_rate']:.1f}%"
-        )
-    print(
-        "eval aggregates identical across worker counts: "
-        f"{doc['eval']['aggregates_identical']}"
-    )
-    for run in doc["fleet"]["runs"]:
-        print(
-            f"fleet: homes={run['homes']} shards={run['shards']} "
-            f"{run['seconds']:.2f}s  {run['events_per_s']:.0f} events/s  "
-            f"{run['alerts_per_s']:.0f} alerts/s"
-        )
-    print(
-        "fleet alerts identical across shard counts: "
-        f"{doc['fleet']['alerts_identical_across_shards']}"
-    )
-    journal = doc["journal"]
-    print(
-        f"journal: {journal['events']} events  "
-        f"overhead never {journal['overhead_pct_never']:+.1f}%  "
-        f"(interval {journal['overhead_ratio']['interval']:.2f}x, "
-        f"always {journal['overhead_ratio']['always']:.2f}x)"
-    )
-    scenarios = doc["scenarios"]
-    print(
-        f"scenarios: {scenarios['cells']} cells x {scenarios['trials']} trials "
-        f"in {scenarios['seconds']:.2f}s"
-    )
-    for pair in scenarios["refresh_pairs"]:
-        print(
-            f"scenarios drift {pair['variant']}: sustained alerts/h "
-            f"{pair['plain']} (plain) -> {pair['refresh']} (refresh)"
-        )
-    for entry in doc["backends"]:
-        print(
-            f"backend[{entry['backend']}]: fit {entry['fit_seconds']:.2f}s  "
-            f"{entry['events_per_s']:.0f} events/s  "
-            f"{entry['alerts']} alerts"
-        )
-    service = doc["service"]
-    print(
-        f"service: {service['events_per_s_service']:.0f} events/s over "
-        f"loopback vs {service['events_per_s_inprocess']:.0f} in-process "
-        f"({service['overhead_ratio']:.2f}x), parity "
-        f"{service['alerts_identical']}"
-    )
-    overload = service["overload"]
-    print(
-        f"service overload: queue {overload['queue_capacity']} "
-        f"(max depth {overload['max_queue_depth']})  "
-        f"{overload['sheds']} sheds  {overload['reconnects']} reconnects  "
-        f"complete {overload['complete']}"
-    )
-    cap = doc["capacity"]
-    print(
-        f"capacity: {cap['homes']} homes from {cap['archetypes']} archetypes  "
-        f"shared+batched {cap['events_per_s_shared']:.0f} events/s vs "
-        f"replicated {cap['events_per_s_replicated']:.0f} "
-        f"({cap['speedup_shared_vs_replicated']:.2f}x), "
-        f"parity {cap['alerts_identical']}"
-    )
-    print(
-        f"capacity memory: {cap['bytes_per_home_shared'] / 1024:.1f} KiB/home "
-        f"shared vs {cap['bytes_per_home_replicated'] / 1024:.1f} KiB/home "
-        f"replicated ({cap['bytes_per_home_reduction']:.0f}x)"
-    )
-    for proj in cap["projection"]:
-        print(
-            f"capacity projection: {proj['homes']} homes -> "
-            f"{proj['shared_bytes'] / 2**20:.1f} MiB trained state shared vs "
-            f"{proj['replicated_bytes'] / 2**20:.1f} MiB replicated"
-        )
     print(f"wrote {args.output}")
     return 0
 

@@ -18,14 +18,19 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.bench.perf import _group_pool, _synthetic_layout
 from repro.core import (
+    DiceConfig,
     SharedContextStore,
     context_hash,
     trained_context_nbytes,
 )
+from repro.core.detector import DiceDetector, DiceModel
+from repro.core.encoding import StateSetEncoder, WindowedTrace
 from repro.fleet import (
     FleetGateway,
     build_fleet_homes,
@@ -134,6 +139,82 @@ def test_memory_report_accounts_for_dedup():
     assert report["trained_bytes_replicated"] == sum(per_home.values())
     assert report["store"]["contexts"] == 2
     assert report["store"]["holders"] == 6
+
+
+# --------------------------------------------------------------------- #
+# Capacity budget: an estate stamped from a few archetypes
+# --------------------------------------------------------------------- #
+
+#: Trained-state bytes per home allowed for an estate stamped from a few
+#: archetypes.  Sharing holds it near 6 KiB; replication costs ~400 KiB.
+CAPACITY_BUDGET_BYTES = 64 * 1024
+
+
+def _capacity_violations(report) -> list:
+    """The capacity bounds a :meth:`FleetGateway.memory_report` breaks."""
+    violations = []
+    if report["trained_bytes_per_home"] > CAPACITY_BUDGET_BYTES:
+        violations.append("bytes_per_home")
+    if report["store"]["dedup_ratio"] < 10.0:
+        violations.append("dedup_ratio")
+    if report["replicated_bytes_per_home"] < 5.0 * report["trained_bytes_per_home"]:
+        violations.append("replicated_vs_shared")
+    return violations
+
+
+def _archetype_models(archetypes, n_groups, num_bits, seed):
+    """One fitted synthetic context per archetype (sparse, ~2.5 bits/window)."""
+    rng = np.random.default_rng(seed)
+    layout = _synthetic_layout(num_bits)
+    config = DiceConfig(max_candidate_distance=2)
+    models = []
+    for _ in range(archetypes):
+        pool = _group_pool(rng, num_bits, n_groups, density=2.5 / num_bits)
+        masks = [pool[int(rng.integers(len(pool)))] for _ in range(n_groups * 3)]
+        training = WindowedTrace(layout, 60.0, 0.0, masks, [frozenset()] * len(masks))
+        encoder = StateSetEncoder(layout.registry)
+        encoder._value_thresholds = np.zeros(len(layout.registry))
+        detector = DiceDetector(
+            layout.registry, config, metrics=telemetry.NULL_REGISTRY
+        ).fit_windows(encoder, training)
+        models.append(detector.model)
+    return layout.registry, config, models
+
+
+def _stamped_estate(registry, config, models, num_homes, share):
+    gateway = FleetGateway(
+        1, metrics=telemetry.NULL_REGISTRY, share_contexts=share, batch_tick=share
+    )
+    for i in range(num_homes):
+        model = models[i % len(models)]
+        clone = DiceModel(
+            model.encoder, model.groups.copy(), model.transitions.copy(),
+            model.training_windows,
+        )
+        gateway.add_home(
+            f"cap-{i:05d}",
+            DiceDetector.from_model(
+                registry, clone, config=config, metrics=telemetry.NULL_REGISTRY
+            ),
+            start=0.0,
+        )
+    return gateway
+
+
+def test_stamped_estate_stays_within_the_capacity_budget():
+    # 200 homes from 3 archetypes of 1,024 groups over 96 bits: a sharing
+    # break must trip the budget, so the same check runs on a gateway with
+    # sharing off as the negative control.
+    registry, config, models = _archetype_models(3, 1024, 96, seed=0)
+    shared = _stamped_estate(registry, config, models, 200, share=True)
+    report = shared.memory_report()
+    assert _capacity_violations(report) == [], report
+    assert report["distinct_contexts"] == 3
+
+    replicated = _stamped_estate(registry, config, models, 200, share=False)
+    assert _capacity_violations(replicated.memory_report()) == [
+        "bytes_per_home", "dedup_ratio", "replicated_vs_shared",
+    ]
 
 
 # --------------------------------------------------------------------- #

@@ -284,6 +284,107 @@ class TestExplainJournalRoot:
         assert "home-0001" in capsys.readouterr().out
 
 
+def _alert_ids(path):
+    return sorted(json.loads(line)["id"] for line in path.read_text().splitlines())
+
+
+def _serve(tmp_path, argv, timeout=120.0):
+    """Run ``repro serve`` in a child; SIGTERM it once it listens.
+
+    Returns ``(exit code, stderr)``.  A server that refuses to start exits
+    on its own before writing the ports file.
+    """
+    import signal
+    import time
+
+    ports = tmp_path / "ports.json"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", *argv, "--ports-out", str(ports)],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    deadline = time.monotonic() + timeout
+    while proc.poll() is None and time.monotonic() < deadline:
+        if ports.exists() and ports.stat().st_size:
+            proc.send_signal(signal.SIGTERM)
+            break
+        time.sleep(0.1)
+    try:
+        _, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:  # pragma: no cover - hung server
+            proc.kill()
+            proc.wait()
+    return proc.returncode, err
+
+
+class TestReusedJournalDir:
+    """``stream``, ``fleet`` and ``serve`` give ``--journal-dir`` one meaning:
+    without ``--resume`` a root that already holds a journal is refused;
+    ``--resume PATH`` with no checkpoint at PATH replays the whole journal
+    into a fresh gateway (a crash before the first checkpoint)."""
+
+    SERVE_ARGS = ["--homes", "2", "--hours", "28", "--train-hours", "24", "--seed", "5"]
+
+    @pytest.fixture(params=["stream", "fleet"])
+    def journaled(self, request, tmp_path, capsys):
+        """A finished journaled run: ``(argv, alerts path)``."""
+        base = TestStream.ARGS if request.param == "stream" else TestFleet.ARGS
+        alerts = tmp_path / "alerts.jsonl"
+        argv = base + ["--journal-dir", str(tmp_path / "wal"), "--alerts-out", str(alerts)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        return argv, alerts
+
+    def test_reuse_without_resume_exits_2(self, journaled, capsys):
+        argv, alerts = journaled
+        before = alerts.read_text()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "bad_journal" in err[0] and "--resume" in err[0]
+        assert alerts.read_text() == before
+
+    def test_resume_without_checkpoint_replays_the_journal(
+        self, journaled, tmp_path, capsys
+    ):
+        argv, alerts = journaled
+        before = _alert_ids(alerts)
+        assert main(argv + ["--resume", str(tmp_path / "no-ckpt")]) == 0
+        assert "replayed the whole journal" in capsys.readouterr().err
+        # The replay re-raises the journaled run's alerts under the same
+        # ids, so the at-least-once outbox delivers nothing new.
+        assert _alert_ids(alerts) == before
+
+    @pytest.fixture
+    def fleet_journal(self, tmp_path, capsys):
+        """A fleet journal root holding the homes ``serve`` hosts."""
+        root = tmp_path / "wal"
+        assert main(["fleet"] + self.SERVE_ARGS + ["--journal-dir", str(root)]) == 0
+        capsys.readouterr()
+        return root
+
+    def test_serve_reuse_without_resume_exits_2(self, fleet_journal, tmp_path):
+        code, err = _serve(tmp_path, self.SERVE_ARGS + ["--journal-dir", str(fleet_journal)])
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "bad_journal" in lines[0] and "--resume" in lines[0]
+
+    def test_serve_resume_without_checkpoint_replays_the_journal(
+        self, fleet_journal, tmp_path
+    ):
+        code, err = _serve(
+            tmp_path,
+            self.SERVE_ARGS
+            + ["--journal-dir", str(fleet_journal), "--resume", str(tmp_path / "no-ckpt")],
+        )
+        assert code == 0, err
+        assert "replayed the whole journal" in err
+
+
 class TestChaos:
     def test_standalone_smoke(self, tmp_path, capsys):
         code = main(
@@ -442,34 +543,35 @@ class TestBench:
                 "bench", "--quick",
                 "--groups", "40",
                 "--windows", "200",
-                "--workers", "1", "2",
                 "-o", str(out),
             ]
         )
         assert code == 0
-        assert "scan:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "scan:" in printed and "provenance:" in printed
         doc = json.loads(out.read_text())
-        assert doc["schema"] == BENCH_SCHEMA
+        assert doc["schema"] == BENCH_SCHEMA == "dice-bench-perf/11"
         assert validate_document(doc) is doc
-        assert doc["scan"][0]["groups"] == 40
-        assert doc["eval"]["aggregates_identical"] is True
-        assert [run["workers"] for run in doc["eval"]["runs"]] == [1, 2]
-        assert doc["journal"]["alerts_identical"] is True
-        assert set(doc["journal"]["overhead_ratio"]) == {
-            "never", "interval", "always",
+        assert set(doc) == {
+            "schema", "quick", "seed", "machine", "fit", "scan", "provenance",
         }
+        assert doc["scan"][0]["groups"] == 40
         assert doc["provenance"]["alerts_identical"] is True
         assert doc["provenance"]["events"] > 0
         assert doc["provenance"]["overhead_ratio"] >= 0
 
         # The validator is what CI gates on: it must reject mutations.
-        bad = dict(doc, schema="nope")
-        with pytest.raises(ValueError):
-            validate_document(bad)
-        bad = json.loads(out.read_text())
-        bad["eval"]["aggregates_identical"] = False
-        with pytest.raises(ValueError):
-            validate_document(bad)
+        for mutate in (
+            lambda d: d.update(schema="dice-bench-perf/10"),
+            lambda d: d.update(capacity={}),
+            lambda d: d.pop("fit"),
+            lambda d: d["scan"][0].update(kernel="simd"),
+            lambda d: d["provenance"].update(alerts_identical=False),
+        ):
+            bad = json.loads(out.read_text())
+            mutate(bad)
+            with pytest.raises(ValueError):
+                validate_document(bad)
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
