@@ -54,6 +54,8 @@ DOCUMENT_KEYS = frozenset(
     {"schema", "quick", "seed", "machine", "fit", "scan", "provenance"}
 )
 
+_log = telemetry.get_logger("repro.bench.perf")
+
 
 # --------------------------------------------------------------------- #
 # Synthetic workloads
@@ -284,7 +286,10 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     interleaved so machine-load drift hits both equally, and the enabled arm's alert stream is asserted identical
     to the baseline's — evidence capture must observe, never steer.  The
     acceptance budget is ≤ 1.1x wall clock: the recorder only does real
-    work when an alert fires, which is rare relative to events.
+    work when an alert fires, which is rare relative to events.  Both arms
+    run with the runtime log silenced (errors only), so neither pays for
+    log output and the section writes one summary line instead of every
+    supervisor transition of every run.
     """
     from ..faults.crash import (
         LATENESS_SECONDS,
@@ -312,17 +317,25 @@ def bench_provenance(seed: int, hours: float = 24.0, repeats: int = 5) -> Dict:
     baseline_canon: Optional[str] = None
     identical = True
     records = 0
-    for i in range(repeats):
-        seconds, alerts, _ = _timed(lambda: telemetry.NULL_PROVENANCE)
-        disabled_s = min(disabled_s, seconds)
-        if baseline_canon is None:
-            baseline_canon = canonical_alerts(alerts)
-        seconds, alerts, runtime = _timed(telemetry.ProvenanceRecorder)
-        enabled_s = min(enabled_s, seconds)
-        if canonical_alerts(alerts) != baseline_canon:
-            identical = False
-        if i == 0:
-            records = len(runtime.provenance.records())
+    previous = telemetry.configure(level="error")
+    try:
+        for i in range(repeats):
+            seconds, alerts, _ = _timed(lambda: telemetry.NULL_PROVENANCE)
+            disabled_s = min(disabled_s, seconds)
+            if baseline_canon is None:
+                baseline_canon = canonical_alerts(alerts)
+            seconds, alerts, runtime = _timed(telemetry.ProvenanceRecorder)
+            enabled_s = min(enabled_s, seconds)
+            if canonical_alerts(alerts) != baseline_canon:
+                identical = False
+            if i == 0:
+                records = len(runtime.provenance.records())
+    finally:
+        telemetry.configure(**vars(previous))
+    _log.info(
+        "provenance_bench_done", runs=2 * repeats, events=len(events),
+        alerts=len(alerts), records=records, runtime_log="silenced",
+    )
     if not identical:
         raise AssertionError("provenance recording changed the alert stream")
 

@@ -841,7 +841,13 @@ def _cmd_stream(args) -> int:
     if runtime.provenance.enabled:
         runtime.provenance.home_id = args.dataset
 
-    events = [e for e in live if e.timestamp > runtime.reorder.watermark]
+    # On resume, send only what the checkpoint has not seen: events above
+    # the watermark that the restored reorder buffer does not already hold
+    # (re-sending those would count them as duplicates).
+    reorder = runtime.reorder
+    events = [
+        e for e in live if e.timestamp > reorder.watermark and not reorder.holds(e)
+    ]
     if args.pipe_faults:
         specs = []
         for name in args.pipe_faults.split(","):

@@ -11,7 +11,9 @@ standalone home is a one-home, one-shard fleet:
   record): a home journal found non-empty rotates to a fresh epoch first;
 * every routed event is journaled before dispatch; unrouted events are
   dropped by the router as always and never journaled (they carry no
-  state to recover);
+  state to recover).  A tick is group-committed: each home's frames for
+  the tick go to its journal in one write (one fsync under ``"always"``),
+  and every home is written before the tick is dispatched;
 * fleet alerts get per-home sequence numbers and flow into one shared
   :class:`~repro.durability.outbox.AlertOutbox`, with home-qualified ids,
   and each home's sealed evidence records are archived beside its
@@ -167,14 +169,23 @@ class DurableFleetGateway:
     def dispatch(self, events: Iterable[Tuple[str, Event]]) -> List[FleetAlert]:
         """Journal each routed event into its home's journal, then route.
 
-        The batch is materialised so the journal write strictly precedes
-        the dispatch that consumes it — the write-ahead invariant.
+        The batch is materialised and every home's frames are written (one
+        group-committed call per home) before the dispatch that consumes
+        them — the write-ahead invariant.
         """
         batch = list(events)
+        gateway = self.gateway
+        frames: Dict[str, List[bytes]] = {}
         for home_id, event in batch:
-            if home_id in self.gateway:
-                self._journal_of(home_id).append_frame(encode_event_frame(event))
-                self.ingest_seqs[home_id] = self.ingest_seqs.get(home_id, 0) + 1
+            if home_id in gateway:
+                home_frames = frames.get(home_id)
+                if home_frames is None:
+                    home_frames = frames[home_id] = []
+                home_frames.append(encode_event_frame(event))
+        for home_id, home_frames in frames.items():
+            count = len(home_frames)
+            self._journal_of(home_id).append_frame(b"".join(home_frames), count)
+            self.ingest_seqs[home_id] = self.ingest_seqs.get(home_id, 0) + count
         return self._publish(self.gateway.dispatch(batch))
 
     def finish(self, ends=None) -> List[FleetAlert]:
@@ -203,8 +214,14 @@ class DurableFleetGateway:
         return report
 
     def close(self) -> None:
+        """Close every journal, the outbox and the provenance logs (each
+        reopens on its next write)."""
         for journal in self.journals.values():
             journal.close()
+        for log in self.provenance_logs.values():
+            log.close()
+        if self.outbox is not None:
+            self.outbox.close()
 
     # ------------------------------------------------------------------ #
     # Checkpoint & recovery

@@ -29,13 +29,20 @@ record in segments ≤ *e*, so they are truncated and a fresh segment
 *e*+1 is opened.  Recovery replays only the segments **after** the
 checkpoint's epoch, in epoch order.
 
-Fsync policy is the classic durability/throughput dial:
+Writes are group-committed: one :meth:`EventJournal.append_frame` call
+writes a whole batch of frames (the durable gateway passes one home's
+events of one tick), and the fsync policy applies per call:
 
 * ``"never"``   — rely on the OS page cache (default; survives process
   crashes, not power loss);
-* ``"interval"`` — ``os.fsync`` every *fsync_interval* appends (bounded
-  loss under power failure);
-* ``"always"``  — ``os.fsync`` after every append (no loss, slowest).
+* ``"interval"`` — ``os.fsync`` once a call brings the unsynced record
+  count to *fsync_interval* or more, so whenever a call returns fewer than
+  *fsync_interval* records are unsynced (bounded loss under power
+  failure), with never more fsyncs than record-at-a-time appends would
+  make;
+* ``"always"``  — one ``os.fsync`` per call, before it returns: every
+  record is on disk before the gateway dispatches it (no loss; the batch
+  shares one sync, so the cost is per home per tick, not per event).
 """
 
 from __future__ import annotations
@@ -155,6 +162,34 @@ def list_segments(directory: PathLike) -> List[Tuple[int, str]]:
     return sorted(found)
 
 
+class AppendFile:
+    """One append handle kept open for its owner's lifetime.
+
+    Opened on the first write and flushed after every write, so each
+    record reaches the OS at the same point a per-write ``open`` would
+    put it there; never fsynced.  :meth:`close` releases the handle and
+    the next write reopens it.
+    """
+
+    def __init__(self, path: str, mode: str = "ab", encoding: Optional[str] = None) -> None:
+        self.path = path
+        self._mode = mode
+        self._encoding = encoding
+        self._handle = None
+
+    def write(self, data) -> None:
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, self._mode, encoding=self._encoding)
+        handle.write(data)
+        handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+
 class EventJournal:
     """Append-only, segmented, CRC-checked journal for one home.
 
@@ -166,7 +201,8 @@ class EventJournal:
     fsync:
         One of :data:`FSYNC_POLICIES`; see the module docstring.
     fsync_interval:
-        Appends between ``fsync`` calls under the ``"interval"`` policy.
+        Under the ``"interval"`` policy, the most records left unsynced
+        by an append call is one fewer than this.
     metrics:
         Telemetry registry for append/rotate/truncate counters; defaults
         to the disabled registry so library use records nothing.
@@ -221,27 +257,28 @@ class EventJournal:
         """Durably (per policy) append one record to the current segment."""
         self.append_frame(encode_record(record))
 
-    def append_frame(self, frame: bytes) -> None:
-        """Append an already-framed record (see :func:`frame_payload`).
+    def append_frame(self, frames: bytes, count: int = 1) -> None:
+        """Append *count* already-framed records (see :func:`frame_payload`),
+        concatenated in *frames*, with one write and at most one fsync.
 
-        The ingest hot path pays an append per event; callers that can
-        pre-encode (cached device ids, direct float formatting) skip the
-        generic ``json.dumps`` here.
+        The ingest hot path pays this once per home per tick; callers that
+        can pre-encode (cached device ids, direct float formatting) skip
+        the generic ``json.dumps`` of :meth:`append`.
         """
         handle = self._handle
         if handle is None:
             handle = self._open()
-        handle.write(frame)
+        handle.write(frames)
         if self.fsync == "always":
             handle.flush()
             os.fsync(handle.fileno())
         elif self.fsync == "interval":
-            self._since_sync += 1
+            self._since_sync += count
             if self._since_sync >= self.fsync_interval:
                 handle.flush()
                 os.fsync(handle.fileno())
                 self._since_sync = 0
-        self._appends_counter.inc()
+        self._appends_counter.inc(count)
 
     def sync(self) -> None:
         """Flush and fsync the current segment regardless of policy."""

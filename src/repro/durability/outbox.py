@@ -19,6 +19,14 @@ alerts the same durability the event journal gives events:
 Alert ids are pure functions of ``(home, sequence, alert content)``, so a
 recovery replay that reproduces the alert stream reproduces the ids —
 redelivery after a crash is idempotent end to end.
+
+The unacked records are kept in their own insertion-ordered map, so
+:attr:`AlertOutbox.pending` and :meth:`AlertOutbox.deliver_pending` cost
+what is pending, not the whole history.  ``outbox.wal``, ``acks.wal`` and
+:class:`FileSink`'s file each keep one append handle for the object's
+lifetime and are flushed after every record (the bytes reach the OS at
+the same points as with a handle per write; nothing is fsynced);
+``close()`` releases them and the next write reopens.
 """
 
 from __future__ import annotations
@@ -26,12 +34,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from .. import telemetry
 from ..streaming import Alert
 from ..telemetry.provenance import alert_body, trace_id
-from .journal import encode_record, read_segment
+from .journal import AppendFile, encode_record, read_segment
 
 PathLike = Union[str, os.PathLike]
 
@@ -66,16 +74,23 @@ class AlertSink:
     def deliver(self, record: dict) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release whatever the sink holds open; the outbox's ``close``
+        calls it."""
+
 
 class FileSink(AlertSink):
     """Append each delivered alert as one JSON line (the default target)."""
 
     def __init__(self, path: PathLike) -> None:
         self.path = os.fspath(path)
+        self._file = AppendFile(self.path, "a", encoding="utf-8")
 
     def deliver(self, record: dict) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._file.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def close(self) -> None:
+        self._file.close()
 
 
 class CallbackSink(AlertSink):
@@ -111,6 +126,9 @@ class FlakySink(AlertSink):
             )
         self.inner.deliver(record)
         self.delivered.append(record)
+
+    def close(self) -> None:
+        self.inner.close()
 
 
 class AlertOutbox:
@@ -188,8 +206,12 @@ class AlertOutbox:
         self._wal_path = os.path.join(self.directory, OUTBOX_WAL)
         self._acks_path = os.path.join(self.directory, ACKS_WAL)
         self._dead_path = os.path.join(self.directory, DEAD_LETTER)
-        self._journaled: Dict[str, dict] = {}
+        self._wal = AppendFile(self._wal_path)
+        self._acks = AppendFile(self._acks_path)
+        self._journaled: Set[str] = set()
         self._acked: Dict[str, str] = {}
+        #: Journaled, unacked records by id, in journal order.
+        self._pending: Dict[str, dict] = {}
         self._load()
 
     # ------------------------------------------------------------------ #
@@ -201,23 +223,22 @@ class AlertOutbox:
         the record being written, which for the ack log just means one
         redelivery (at-least-once, by design).
         """
-        if os.path.exists(self._wal_path):
-            records, _ = read_segment(self._wal_path)
-            for record in records:
-                self._journaled[record["id"]] = record
         if os.path.exists(self._acks_path):
             acks, _ = read_segment(self._acks_path)
             for ack in acks:
                 self._acked[ack["id"]] = ack.get("outcome", "delivered")
+        if os.path.exists(self._wal_path):
+            records, _ = read_segment(self._wal_path)
+            for record in records:
+                record_id = record["id"]
+                self._journaled.add(record_id)
+                if record_id not in self._acked:
+                    self._pending[record_id] = record
 
     @property
     def pending(self) -> List[dict]:
         """Journaled alerts not yet acked, in journal order."""
-        return [
-            record
-            for record in self._journaled.values()
-            if record["id"] not in self._acked
-        ]
+        return list(self._pending.values())
 
     def dead_letters(self) -> List[dict]:
         """The dead-letter file's records (empty when it does not exist)."""
@@ -243,18 +264,27 @@ class AlertOutbox:
         and its delivery state stand.
         """
         self._offered_counter.inc()
-        if record["id"] in self._journaled:
+        record_id = record["id"]
+        if record_id in self._journaled:
             self._deduped_counter.inc()
             return False
-        with open(self._wal_path, "ab") as handle:
-            handle.write(encode_record(record))
-        self._journaled[record["id"]] = record
+        self._wal.write(encode_record(record))
+        self._journaled.add(record_id)
+        if record_id not in self._acked:
+            self._pending[record_id] = record
         return True
 
     def _ack(self, record_id: str, outcome: str) -> None:
-        with open(self._acks_path, "ab") as handle:
-            handle.write(encode_record({"id": record_id, "outcome": outcome}))
+        self._acks.write(encode_record({"id": record_id, "outcome": outcome}))
         self._acked[record_id] = outcome
+        self._pending.pop(record_id, None)
+
+    def close(self) -> None:
+        """Close the outbox and ack logs and the sink (each reopens on its
+        next write)."""
+        self._wal.close()
+        self._acks.close()
+        self.sink.close()
 
     def _backoff(self, attempt: int) -> float:
         delay = min(self.max_delay, self.base_delay * (2.0 ** (attempt - 1)))

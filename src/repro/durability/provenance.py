@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Union
 
 from .. import telemetry
 from ..telemetry.provenance import canonical_record_bytes
-from .journal import frame_payload, read_segment
+from .journal import AppendFile, frame_payload, read_segment
 
 PathLike = Union[str, os.PathLike]
 
@@ -41,6 +41,8 @@ class ProvenanceLog:
     One per home, living next to the event journal.  ``append`` is
     idempotent over trace ids; a torn tail (crash mid-append) loses at
     most the record being written, which the recovery replay regenerates.
+    The append handle stays open for the log's lifetime, flushed after
+    every record.
     """
 
     def __init__(
@@ -62,6 +64,7 @@ class ProvenanceLog:
         )
         self._ids: Dict[str, int] = {}
         self._load()
+        self._file = AppendFile(self.path)
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
@@ -96,11 +99,14 @@ class ProvenanceLog:
         if record["id"] in self._ids:
             self._deduped_counter.inc()
             return False
-        with open(self.path, "ab") as handle:
-            handle.write(frame_payload(canonical_record_bytes(record)))
+        self._file.write(frame_payload(canonical_record_bytes(record)))
         self._ids[record["id"]] = len(self._ids)
         self._appended_counter.inc()
         return True
+
+    def close(self) -> None:
+        """Release the append handle (the next append reopens it)."""
+        self._file.close()
 
     def append_many(self, records: List[dict]) -> int:
         appended = 0

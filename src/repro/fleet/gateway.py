@@ -216,7 +216,11 @@ class FleetGateway:
             context_store if context_store is not None else SharedContextStore()
         )
         self.shards = [FleetShard(i) for i in range(self.num_shards)]
-        self._runtimes: Dict[str, HardenedOnlineDice] = {}
+        # Hosted home → shard index: the one record of membership, filled
+        # once per home by :meth:`add_runtime` so a tick routes by lookup
+        # instead of hashing every event (:func:`shard_of` stays the one
+        # definition of the map).  The runtime itself lives in its shard.
+        self._routes: Dict[str, int] = {}
         self.alerts: List[FleetAlert] = []
         self.unrouted = 0
         self.metrics = (
@@ -249,21 +253,22 @@ class FleetGateway:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._runtimes)
+        return len(self._routes)
 
     def __contains__(self, home_id: str) -> bool:
-        return home_id in self._runtimes
+        return home_id in self._routes
 
     @property
     def home_ids(self) -> List[str]:
         """Hosted homes, sorted."""
-        return sorted(self._runtimes)
+        return sorted(self._routes)
 
     def runtime_of(self, home_id: str) -> HardenedOnlineDice:
-        return self._runtimes[home_id]
+        return self.shards[self._routes[home_id]].homes[home_id]
 
     def shard_index_of(self, home_id: str) -> int:
-        return shard_of(home_id, self.num_shards)
+        """The shard hosting *home_id* (``KeyError`` when not hosted)."""
+        return self._routes[home_id]
 
     def add_home(
         self,
@@ -293,15 +298,16 @@ class FleetGateway:
         self, home_id: str, runtime: HardenedOnlineDice
     ) -> HardenedOnlineDice:
         """Register an existing runtime (checkpoint restore path)."""
-        if home_id in self._runtimes:
+        if home_id in self._routes:
             raise ValueError(f"home {home_id!r} is already hosted")
         # Alert provenance trace ids hash the home id; stamp it the moment
         # home identity attaches, before any event can reach the runtime.
         if runtime.provenance.enabled:
             runtime.provenance.home_id = home_id
-        shard = self.shards[shard_of(home_id, self.num_shards)]
+        index = shard_of(home_id, self.num_shards)
+        shard = self.shards[index]
         shard.homes[home_id] = runtime
-        self._runtimes[home_id] = runtime
+        self._routes[home_id] = index
         _log.debug("home_added", home=home_id, shard=shard.index)
         return runtime
 
@@ -321,15 +327,14 @@ class FleetGateway:
         dropped — a router must never crash on a stray tenant id.
         """
         batches: List[List[Tuple[str, Event]]] = [[] for _ in self.shards]
-        routed = [0] * self.num_shards
-        for home_id, event in events:
-            if home_id not in self._runtimes:
+        routes = self._routes
+        for item in events:
+            index = routes.get(item[0])
+            if index is None:
                 self.unrouted += 1
                 self._unrouted_counter.inc()
                 continue
-            index = shard_of(home_id, self.num_shards)
-            batches[index].append((home_id, event))
-            routed[index] += 1
+            batches[index].append(item)
         fresh: List[FleetAlert] = []
         for shard, batch in zip(self.shards, batches):
             if batch:
@@ -337,9 +342,9 @@ class FleetGateway:
                     fresh.extend(shard.dispatch_batched(batch))
                 else:
                     fresh.extend(shard.dispatch(batch))
-        for index, count in enumerate(routed):
-            if count:
-                self._events_counter.labels(shard=str(index)).inc(count)
+        for index, batch in enumerate(batches):
+            if batch:
+                self._events_counter.labels(shard=str(index)).inc(len(batch))
         self._dispatch_counter.inc()
         self.alerts.extend(fresh)
         return fresh
@@ -368,9 +373,9 @@ class FleetGateway:
         a quiet tail).
         """
         if ends is None or isinstance(ends, (int, float)):
-            per_home = {home_id: ends for home_id in self._runtimes}
+            per_home = {home_id: ends for home_id in self._routes}
         else:
-            per_home = {home_id: ends.get(home_id) for home_id in self._runtimes}
+            per_home = {home_id: ends.get(home_id) for home_id in self._routes}
         fresh: List[FleetAlert] = []
         for shard in self.shards:
             fresh.extend(shard.finish(per_home))
@@ -382,7 +387,7 @@ class FleetGateway:
     ) -> List[FleetAlert]:
         """End-of-stream for a single home (the ingest service's per-stream
         close), leaving every other home's stream open."""
-        runtime = self._runtimes[home_id]
+        runtime = self.runtime_of(home_id)
         fresh = [FleetAlert(home_id, alert) for alert in runtime.finish_stream(end)]
         self.alerts.extend(fresh)
         return fresh
@@ -406,15 +411,15 @@ class FleetGateway:
         """
         per_context: Dict[int, int] = {}
         replicated = 0
-        for home_id in sorted(self._runtimes):
-            detector = self._runtimes[home_id].detector
+        for home_id in self.home_ids:
+            detector = self.runtime_of(home_id).detector
             if detector is None:  # backend without a DICE trained context
                 continue
             nbytes = trained_context_nbytes(detector)
             replicated += nbytes
             per_context.setdefault(id(detector.model), nbytes)
         shared = sum(per_context.values())
-        homes = len(self._runtimes)
+        homes = len(self._routes)
         return {
             "homes": homes,
             "distinct_contexts": len(per_context),
@@ -436,8 +441,8 @@ class FleetGateway:
         """
         snapshots = [self.metrics.snapshot()]
         seen = {id(self.metrics)}
-        for home_id in sorted(self._runtimes):
-            registry = self._runtimes[home_id].metrics
+        for home_id in self.home_ids:
+            registry = self.runtime_of(home_id).metrics
             if id(registry) in seen:
                 continue
             seen.add(id(registry))
@@ -452,10 +457,10 @@ class FleetGateway:
             kind = fleet_alert.alert.kind
             alert_counts[kind] = alert_counts.get(kind, 0) + 1
         homes = {}
-        for home_id in sorted(self._runtimes):
-            runtime = self._runtimes[home_id]
+        for home_id in self.home_ids:
+            runtime = self.runtime_of(home_id)
             homes[home_id] = {
-                "shard": shard_of(home_id, self.num_shards),
+                "shard": self._routes[home_id],
                 "backend": runtime.backend.name,
                 "alerts": len(runtime.alerts),
                 "drops": runtime.drops.total,
@@ -463,7 +468,7 @@ class FleetGateway:
             }
         return {
             "num_shards": self.num_shards,
-            "num_homes": len(self._runtimes),
+            "num_homes": len(self._routes),
             "homes_per_shard": {
                 str(shard.index): len(shard) for shard in self.shards
             },

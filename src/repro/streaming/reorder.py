@@ -20,7 +20,7 @@ effective budget while the burst lasts.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..model import Event
@@ -30,6 +30,9 @@ from .guard import DUPLICATE, TOO_LATE, DropLog, DroppedEvent
 FORCE_RELEASED_TOTAL = "dice_reorder_force_released_total"
 
 _NEG_INF = float("-inf")
+
+#: An event's order key: exactly :class:`Event`'s ``order=True`` fields.
+_Key = Tuple[float, str, float]
 
 _log = telemetry.get_logger("repro.streaming.reorder")
 
@@ -51,8 +54,11 @@ class ReorderBuffer:
         self.lateness_seconds = float(lateness_seconds)
         self.max_pending = int(max_pending)
         self.log = log if log is not None else DropLog()
-        self._heap: List[Event] = []
-        self._pending_keys: Dict[Tuple[float, str, float], int] = {}
+        # Heap entries are ``(key, event)``: tuple comparison on the key
+        # releases in ``Event`` order (keys of pending events are unique,
+        # so the event itself is never compared).
+        self._heap: List[Tuple[_Key, Event]] = []
+        self._pending_keys: Set[_Key] = set()
         self._watermark = _NEG_INF
         self._newest = _NEG_INF
         self.force_released = 0
@@ -82,24 +88,29 @@ class ReorderBuffer:
             return 0.0
         return max(0.0, self._newest - self._watermark)
 
+    def holds(self, event: Event) -> bool:
+        """Whether an event equal to *event* is pending (not yet released)."""
+        return (event.timestamp, event.device_id, event.value) in self._pending_keys
+
     def push(self, event: Event) -> List[Event]:
         """Buffer one event; returns events newly released in time order."""
-        if event.timestamp < self._watermark:
+        timestamp = event.timestamp
+        if timestamp < self._watermark:
             self.log.record(
-                DroppedEvent(event.timestamp, event.device_id, event.value, TOO_LATE)
+                DroppedEvent(timestamp, event.device_id, event.value, TOO_LATE)
             )
             return []
-        key = (event.timestamp, event.device_id, event.value)
-        if self._pending_keys.get(key, 0):
+        key = (timestamp, event.device_id, event.value)
+        if key in self._pending_keys:
             self.log.record(
-                DroppedEvent(event.timestamp, event.device_id, event.value, DUPLICATE)
+                DroppedEvent(timestamp, event.device_id, event.value, DUPLICATE)
             )
             return []
-        heapq.heappush(self._heap, event)
-        self._pending_keys[key] = self._pending_keys.get(key, 0) + 1
-        if event.timestamp > self._newest:
-            self._newest = event.timestamp
-        released = self._release(event.timestamp - self.lateness_seconds)
+        heapq.heappush(self._heap, (key, event))
+        self._pending_keys.add(key)
+        if timestamp > self._newest:
+            self._newest = timestamp
+        released = self._release(timestamp - self.lateness_seconds)
         while len(self._heap) > self.max_pending:
             forced = self._pop_front()
             released.append(forced)
@@ -136,18 +147,14 @@ class ReorderBuffer:
         if watermark > self._watermark:
             self._watermark = watermark
         released: List[Event] = []
-        while self._heap and self._heap[0].timestamp <= self._watermark:
+        heap = self._heap
+        while heap and heap[0][0][0] <= self._watermark:
             released.append(self._pop_front())
         return released
 
     def _pop_front(self) -> Event:
-        event = heapq.heappop(self._heap)
-        key = (event.timestamp, event.device_id, event.value)
-        count = self._pending_keys[key]
-        if count <= 1:
-            del self._pending_keys[key]
-        else:  # pragma: no cover - duplicates never coexist in the heap
-            self._pending_keys[key] = count - 1
+        key, event = heapq.heappop(self._heap)
+        self._pending_keys.discard(key)
         # A force-released event (overflow) drags the watermark with it so
         # later arrivals older than it are correctly counted as too late.
         if event.timestamp > self._watermark:
@@ -157,12 +164,11 @@ class ReorderBuffer:
     # -- checkpoint support ---------------------------------------------- #
 
     def state_dict(self) -> dict:
-        pending = sorted(self._heap)
         return {
             "lateness_seconds": self.lateness_seconds,
             "max_pending": self.max_pending,
             "watermark": None if self._watermark == _NEG_INF else self._watermark,
-            "pending": [[e.timestamp, e.device_id, e.value] for e in pending],
+            "pending": [list(key) for key, _ in sorted(self._heap)],
         }
 
     def load_state(self, state: dict) -> None:
@@ -170,12 +176,10 @@ class ReorderBuffer:
         self.max_pending = int(state["max_pending"])
         wm = state["watermark"]
         self._watermark = _NEG_INF if wm is None else float(wm)
-        self._heap = [Event(float(t), str(d), float(v)) for t, d, v in state["pending"]]
-        self._newest = max(
-            [self._watermark] + [e.timestamp for e in self._heap]
-        )
+        self._heap = []
+        for t, d, v in state["pending"]:
+            event = Event(float(t), str(d), float(v))
+            self._heap.append(((event.timestamp, event.device_id, event.value), event))
+        self._newest = max([self._watermark] + [key[0] for key, _ in self._heap])
         heapq.heapify(self._heap)
-        self._pending_keys = {}
-        for e in self._heap:
-            key = (e.timestamp, e.device_id, e.value)
-            self._pending_keys[key] = self._pending_keys.get(key, 0) + 1
+        self._pending_keys = {key for key, _ in self._heap}

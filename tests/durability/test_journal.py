@@ -9,8 +9,13 @@ partial record a crash mid-write leaves behind.
 import math
 import os
 import random
+import tempfile
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import (
     MAX_RECORD_BYTES,
@@ -113,6 +118,89 @@ class TestPolicy:
             journal.append({"i": i})
         journal.close()
         assert _records(journal.current_segment_path) == [{"i": i} for i in range(5)]
+
+
+@contextmanager
+def _counted_fsyncs():
+    """Patch ``os.fsync`` to count calls (the sync still happens)."""
+    calls = []
+    real = os.fsync
+
+    def fsync(fd):
+        calls.append(fd)
+        return real(fd)
+
+    with mock.patch("os.fsync", fsync):
+        yield calls
+
+
+def _ticks(events, cuts):
+    """Cut *events* into consecutive ticks at the sorted *cuts*."""
+    bounds = sorted({0, len(events), *(c for c in cuts if c < len(events))})
+    return [events[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+_JOURNAL_EVENTS = st.lists(
+    st.builds(
+        Event,
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(["motion_kitchen", "temp_kitchen", "hue_kitchen", "t\u00fcr"]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestGroupCommit:
+    """One ``append_frame`` call per tick writes what per-event calls write,
+    and keeps each fsync policy's promise per call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=_JOURNAL_EVENTS,
+        cuts=st.lists(st.integers(0, 40), max_size=12),
+        fsync=st.sampled_from(["never", "interval", "always"]),
+        interval=st.integers(1, 9),
+    )
+    def test_ticks_match_per_event_appends(self, events, cuts, fsync, interval):
+        with tempfile.TemporaryDirectory() as root, _counted_fsyncs() as synced:
+            per_event = EventJournal(
+                os.path.join(root, "per-event"), fsync=fsync, fsync_interval=interval
+            )
+            for event in events:
+                per_event.append_frame(encode_event_frame(event))
+            per_event_syncs = len(synced)
+            registry = MetricsRegistry()
+            grouped = EventJournal(
+                os.path.join(root, "grouped"), fsync=fsync,
+                fsync_interval=interval, metrics=registry,
+            )
+            del synced[:]
+            unsynced = 0
+            for tick in _ticks(events, cuts):
+                before = len(synced)
+                grouped.append_frame(
+                    b"".join(encode_event_frame(e) for e in tick), len(tick)
+                )
+                call_syncs = len(synced) - before
+                unsynced = 0 if call_syncs else unsynced + len(tick)
+                if fsync == "always":
+                    assert call_syncs == 1
+                elif fsync == "interval":
+                    assert call_syncs <= 1
+                    assert unsynced < interval
+                else:
+                    assert call_syncs == 0
+            if fsync == "interval":
+                assert len(synced) <= per_event_syncs
+            per_event.close(), grouped.close()
+            with open(per_event.current_segment_path, "rb") as a, open(
+                grouped.current_segment_path, "rb"
+            ) as b:
+                assert a.read() == b.read()
+        series = registry.snapshot()["metrics"]["dice_journal_appends_total"]["series"]
+        assert sum(row["value"] for row in series) == len(events)
 
 
 class TestRotation:

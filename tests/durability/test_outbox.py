@@ -5,13 +5,20 @@ delivered or in the dead-letter file, never silently dropped — across
 flaky sinks, retry exhaustion, duplicate offers and process restarts.
 """
 
+import builtins
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import (
     AlertOutbox,
     CallbackSink,
+    DurableFleetGateway,
     FileSink,
     FlakySink,
     alert_record,
@@ -188,3 +195,115 @@ class TestRestart:
         assert second.pending == []
         assert second.deliver_pending() == {"delivered": 0, "dead": 0}
         assert len(delivered) == 1
+
+
+class TestPendingCost:
+    """``pending`` and ``deliver_pending`` follow the unacked records, not
+    the outbox's history, and every log keeps one open handle."""
+
+    @pytest.mark.parametrize("history", [50, 500])
+    def test_delivery_visits_only_pending_records(self, tmp_path, history):
+        visited = []
+        outbox = AlertOutbox(tmp_path / "outbox", CallbackSink(visited.append))
+        acked = [_record(seq=i) for i in range(1, history + 1)]
+        for record in acked:
+            outbox.offer(record)
+        assert outbox.pending == acked
+        assert outbox.deliver_pending() == {"delivered": history, "dead": 0}
+        fresh = [_record(seq=history + i) for i in range(1, 6)]
+        for record in fresh:
+            outbox.offer(record)
+        assert outbox.pending == fresh
+        del visited[:]
+        assert outbox.deliver_pending() == {"delivered": 5, "dead": 0}
+        assert visited == fresh
+        assert outbox.pending == []
+        outbox.close()
+        assert AlertOutbox(tmp_path / "outbox", CallbackSink(visited.append)).pending == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.integers(1, 20).map(lambda seq: ("offer", seq)),
+                st.just(("deliver", None)),
+                st.just(("restart", None)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_pending_is_the_unacked_records_in_journal_order(self, ops):
+        visited = []
+
+        def sink(record):
+            visited.append(record["id"])
+            if record["seq"] % 3 == 0:  # dead-letters: acked as dead
+                raise ConnectionError("refused")
+
+        with tempfile.TemporaryDirectory() as root:
+            def reopen():
+                return AlertOutbox(
+                    os.path.join(root, "outbox"), CallbackSink(sink),
+                    max_attempts=1, sleep=lambda seconds: None,
+                )
+
+            outbox = reopen()
+            journaled, acked = [], set()
+            for op, seq in ops:
+                if op == "offer":
+                    record = _record(seq=seq)
+                    fresh = record["id"] not in {r["id"] for r in journaled}
+                    assert outbox.offer(record) == fresh
+                    if fresh:
+                        journaled.append(record)
+                elif op == "deliver":
+                    before = outbox.pending
+                    del visited[:]
+                    outbox.deliver_pending()
+                    assert visited == [r["id"] for r in before]
+                    acked.update(visited)
+                else:
+                    outbox.close()
+                    outbox = reopen()
+                assert outbox.pending == [r for r in journaled if r["id"] not in acked]
+            outbox.close()
+
+    def test_durable_replay_opens_each_file_once(self, tmp_path):
+        from repro.fleet import (
+            FleetGateway,
+            build_fleet_homes,
+            fit_fleet_detectors,
+            merged_ticks,
+        )
+
+        def replay(hours):
+            homes = build_fleet_homes(2, seed=3, hours=hours, train_hours=24.0)
+            detectors = fit_fleet_detectors(homes)
+            gateway = FleetGateway(1)
+            for home in homes:
+                gateway.add_home(home.home_id, detectors[home.home_id], start=home.split)
+            root = tmp_path / f"{hours:g}h"
+            outbox = AlertOutbox(root / "outbox", FileSink(root / "alerts.jsonl"))
+            durable = DurableFleetGateway(gateway, root, outbox=outbox)
+            opened = []
+            real_open = builtins.open
+
+            def counting_open(path, *args, **kwargs):
+                opened.append(os.fspath(path))
+                return real_open(path, *args, **kwargs)
+
+            with mock.patch("builtins.open", counting_open):
+                for _, batch in merged_ticks(homes, 300.0):
+                    durable.dispatch(batch)
+                    durable.deliver_pending()
+                durable.finish()
+                durable.deliver_pending()
+            durable.close()
+            return len(durable.alerts), opened
+
+        few, few_opened = replay(30.0)
+        many, many_opened = replay(42.0)
+        assert 0 < few < many
+        # Two journals, two provenance logs, outbox, acks and the sink.
+        assert len(few_opened) == len(many_opened) == 7
+        assert len(set(many_opened)) == len(many_opened)

@@ -3,9 +3,12 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model import Event
 from repro.streaming import DUPLICATE, TOO_LATE, DropLog, ReorderBuffer
+from tests.reference_reorder import ReferenceReorderBuffer
 
 
 def _ev(t, device="d", value=1.0):
@@ -92,3 +95,76 @@ class TestReorderBuffer:
         assert clone.max_pending == 16
         assert clone.watermark == buf.watermark
         assert [e.timestamp for e in clone.flush()] == [95.0, 100.0]
+
+    def test_holds_tracks_pending_events(self):
+        buf = ReorderBuffer(lateness_seconds=10.0)
+        buf.push(_ev(0.0, "a"))
+        assert buf.holds(_ev(0.0, "a"))
+        assert not buf.holds(_ev(0.0, "b"))
+        assert not buf.holds(_ev(0.0, "a", value=2.0))
+        buf.push(_ev(20.0, "a"))  # releases 0.0
+        assert not buf.holds(_ev(0.0, "a"))
+        assert buf.holds(_ev(20.0, "a"))
+
+
+# Few distinct timestamps, devices and values, so equal timestamps,
+# shared devices, exact duplicates and late arrivals are all common.
+_EVENTS = st.builds(
+    Event,
+    st.integers(0, 12).map(float),
+    st.sampled_from(["a", "b", "c"]),
+    st.sampled_from([0.0, 1.0, 2.5]),
+)
+_OPS = st.lists(
+    st.one_of(
+        _EVENTS.map(lambda e: ("push", e)),
+        st.integers(0, 16).map(lambda t: ("advance", float(t))),
+        st.just(("state", None)),
+    ),
+    max_size=60,
+)
+
+
+def _drops(log):
+    return log.counts, [
+        (d.timestamp, d.device_id, d.value, d.reason) for d in log.samples
+    ]
+
+
+def _keys(events):
+    return [(e.timestamp, e.device_id, e.value) for e in events]
+
+
+class TestReferenceParity:
+    """The tuple-keyed heap releases, drops and checkpoints exactly as the
+    :class:`Event`-heap reference does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=_OPS,
+        lateness=st.sampled_from([0.0, 1.0, 3.0, 10.0]),
+        max_pending=st.integers(1, 6),
+        restore_at=st.integers(0, 60),
+    )
+    def test_release_sequence_drops_and_state_match(
+        self, ops, lateness, max_pending, restore_at
+    ):
+        buf = ReorderBuffer(lateness, max_pending=max_pending, log=DropLog())
+        ref = ReferenceReorderBuffer(lateness, max_pending=max_pending, log=DropLog())
+        for index, (op, arg) in enumerate(ops):
+            if index == restore_at:
+                # Continue from a checkpoint of the buffer under test.
+                clone = ReorderBuffer(1.0, log=buf.log)
+                clone.load_state(json.loads(json.dumps(buf.state_dict())))
+                buf = clone
+            if op == "push":
+                assert _keys(buf.push(arg)) == _keys(ref.push(arg))
+            elif op == "advance":
+                assert _keys(buf.advance_to(arg)) == _keys(ref.advance_to(arg))
+            else:
+                assert json.dumps(buf.state_dict()) == json.dumps(ref.state_dict())
+            assert buf.pending == ref.pending
+            assert buf.watermark == ref.watermark
+        assert json.dumps(buf.state_dict()) == json.dumps(ref.state_dict())
+        assert _keys(buf.flush()) == _keys(ref.flush())
+        assert _drops(buf.log) == _drops(ref.log)
